@@ -3,7 +3,7 @@ GO ?= go
 # (BENCH_1.json, BENCH_2.json, …).
 BENCH_N ?= 10
 
-.PHONY: all build test vet race bench benchjson benchcheck chaos experiments clean
+.PHONY: all build test vet race bench benchjson benchcheck chaos experiments perfbench-check clean
 
 all: build test vet
 
@@ -27,12 +27,15 @@ race:
 # kill/restart recovery) and the crash-resume matrix (kill-and-restart over
 # solver/homology/dist checkpoints, SIGKILL torn-write atomicity), each test
 # individually time-boxed so a stuck drain fails fast instead of hanging CI.
+# The Byzantine matrix then reruns ten times, so a half-open probe that lets
+# a liar back in cannot hide as an occasional flake.
 chaos:
 	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Cancel|Leak|Budget|Serve|Flight|Snapshot|Deadline|Dist|Ring|Journal|Race|Obs|Trace|Metrics|Log|Checkpoint|Resume|Kill|Durable|Byzantine|Lie|Quarantine|Verify|Degrade|Duplicate|PickWorker|ProbeInterval' \
 		./internal/faultinject/ ./internal/par/ ./internal/protocol/ \
 		./internal/model/ ./internal/homology/ ./internal/memo/ \
 		./internal/cli/ ./internal/serve/ ./internal/dist/ ./internal/obs/ \
 		./internal/checkpoint/
+	$(GO) test -race -timeout 10m -count=10 -run 'TestDistByzantineChaosMatrix' ./internal/dist/
 
 # Smoke-run every benchmark once (also re-validates the E1–E17 tables).
 bench:
@@ -49,6 +52,12 @@ benchcheck:
 
 experiments:
 	$(GO) run ./cmd/ksetexperiments
+
+# perfbench/ is a separate Go module, so the root build and test targets
+# never compile it; vet and test it on its own so an API change in the
+# root module cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	rm -f BENCH_*.json

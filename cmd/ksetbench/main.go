@@ -88,9 +88,7 @@ func run() error {
 	against := flag.String("against", "", "previous snapshot to compare against (fails on regression)")
 	regress := flag.Float64("regress", 0.25, "allowed fractional ns/op regression vs -against")
 	filter := flag.String("filter", "", "regexp over benchmark names; only matches run (e.g. '^Homology')")
-	searchFlag := flag.String("search", "parallel", cli.SearchFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	logLevel := flag.String("log-level", "info", cli.LogLevelFlagUsage)
 	traceOut := flag.String("trace-out", "", cli.TraceOutFlagUsage)
 	flag.Parse()
@@ -108,13 +106,7 @@ func run() error {
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
 		return err
 	}
-	if err := cli.ApplySearchFlag(*searchFlag); err != nil {
-		return err
-	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.ApplyClauseBudgetFlag(*clauseBudget); err != nil {
 		return err
 	}
 

@@ -40,11 +40,8 @@ func run() (err error) {
 	only := flag.String("only", "", "comma-separated experiment IDs (default all)")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
-	engineFlag := flag.String("engine", "hybrid", cli.EngineFlagUsage)
 	memoSnapshot := flag.String("memo-snapshot", "", cli.MemoSnapshotUsage)
-	searchFlag := flag.String("search", "parallel", cli.SearchFlagUsage)
 	solverBudget := flag.Int("solver-budget", 0, cli.SolverBudgetFlagUsage)
-	clauseBudget := flag.Int("clause-budget", 0, cli.ClauseBudgetFlagUsage)
 	workers := flag.String("workers", "", cli.WorkersFlagUsage)
 	verifyFraction := flag.Float64("verify-fraction", 0, cli.VerifyFractionFlagUsage)
 	quarantineThreshold := flag.Float64("quarantine-threshold", 0, cli.QuarantineThresholdFlagUsage)
@@ -66,8 +63,7 @@ func run() (err error) {
 	}()
 	ctx, stopSignals := cli.SignalContext(context.Background())
 	defer stopSignals()
-	jobKey := cli.JobKey("ksetexperiments", *only, *engineFlag, *searchFlag,
-		fmt.Sprint(*solverBudget), fmt.Sprint(*clauseBudget))
+	jobKey := cli.JobKey("ksetexperiments", *only, fmt.Sprint(*solverBudget))
 	ctx, ckpt := cli.StartCheckpoint(ctx, *checkpointPath, jobKey, *checkpointInterval, *resume)
 	defer func() {
 		if ferr := cli.FinishDurable(ckpt, *memoSnapshot, err); err == nil {
@@ -88,16 +84,7 @@ func run() (err error) {
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
 		return err
 	}
-	if err := cli.ApplyEngineFlag(*engineFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplySearchFlag(*searchFlag); err != nil {
-		return err
-	}
 	if err := cli.ApplySolverBudgetFlag(*solverBudget); err != nil {
-		return err
-	}
-	if err := cli.ApplyClauseBudgetFlag(*clauseBudget); err != nil {
 		return err
 	}
 	if err := cli.LoadMemoSnapshot(*memoSnapshot); err != nil {

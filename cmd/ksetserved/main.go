@@ -71,8 +71,6 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = KSETTOP_PARALLELISM or GOMAXPROCS)")
 	memoFlag := flag.String("memo", "on", cli.MemoFlagUsage)
-	searchFlag := flag.String("search", "parallel", cli.SearchFlagUsage)
-	engineFlag := flag.String("engine", "hybrid", cli.EngineFlagUsage)
 	maxConcurrent := flag.Int("max-concurrent", 8, "concurrent requests admitted before shedding with 503")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on any request deadline")
@@ -100,12 +98,6 @@ func run() error {
 	flushTrace := cli.StartTraceOut(*traceOut)
 	par.SetParallelism(*parallelism)
 	if err := cli.ApplyMemoFlag(*memoFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplySearchFlag(*searchFlag); err != nil {
-		return err
-	}
-	if err := cli.ApplyEngineFlag(*engineFlag); err != nil {
 		return err
 	}
 	if *faults != "" {

@@ -10,7 +10,6 @@ import (
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
 	"ksettop/internal/protocol"
-	"ksettop/internal/topology"
 )
 
 // LogLevelFlagUsage is the shared help text of the -log-level flag.
@@ -42,42 +41,6 @@ func StartTraceOut(path string) func() error {
 	return func() error { return obs.WriteChromeTraceFile(path) }
 }
 
-// EngineFlagUsage is the shared help text of the -engine flag.
-const EngineFlagUsage = "homology engine: hybrid (apparent pairs + bit-packed hybrid columns) | sparse (pure-sparse cross-check) | packed (seed bit-packed oracle)"
-
-// ApplyEngineFlag interprets the shared -engine flag value and switches the
-// process-wide GF(2) reduction backend.
-func ApplyEngineFlag(value string) error {
-	switch strings.ToLower(value) {
-	case "hybrid":
-		topology.SetHomologyEngine(topology.EngineHybrid)
-	case "sparse":
-		topology.SetHomologyEngine(topology.EngineSparse)
-	case "packed":
-		topology.SetHomologyEngine(topology.EnginePacked)
-	default:
-		return fmt.Errorf("cli: -engine=%q, want hybrid, sparse or packed", value)
-	}
-	return nil
-}
-
-// SearchFlagUsage is the shared help text of the -search flag.
-const SearchFlagUsage = "solver search engine: parallel (work-stealing learning engine) | seq (sequential oracle)"
-
-// ApplySearchFlag interprets the shared -search flag value and switches the
-// process-wide decision-map search engine.
-func ApplySearchFlag(value string) error {
-	switch strings.ToLower(value) {
-	case "parallel":
-		protocol.SetSearchEngine(protocol.SearchParallel)
-	case "seq":
-		protocol.SetSearchEngine(protocol.SearchSeq)
-	default:
-		return fmt.Errorf("cli: -search=%q, want parallel or seq", value)
-	}
-	return nil
-}
-
 // SolverBudgetFlagUsage is the shared help text of the -solver-budget flag.
 const SolverBudgetFlagUsage = "node budget for decision-map searches (0 = stock 50M)"
 
@@ -89,20 +52,6 @@ func ApplySolverBudgetFlag(n int) error {
 		return fmt.Errorf("cli: -solver-budget=%d must be ≥ 0", n)
 	}
 	protocol.SetDefaultNodeBudget(n)
-	return nil
-}
-
-// ClauseBudgetFlagUsage is the shared help text of the -clause-budget flag.
-const ClauseBudgetFlagUsage = "learned-clause store budget with LBD/age eviction (0 = stock append-only bounds)"
-
-// ApplyClauseBudgetFlag sets the process-wide clause-store budget: n > 0
-// bounds the solver's learned-clause stores at n (shared) and n/4 (per
-// task) with deterministic aging/eviction; 0 restores the stock policy.
-func ApplyClauseBudgetFlag(n int) error {
-	if n < 0 {
-		return fmt.Errorf("cli: -clause-budget=%d must be ≥ 0", n)
-	}
-	protocol.SetClauseStoreBudget(n)
 	return nil
 }
 

@@ -13,33 +13,7 @@ import (
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
 	"ksettop/internal/protocol"
-	"ksettop/internal/topology"
 )
-
-func TestApplyEngineFlag(t *testing.T) {
-	defer topology.SetHomologyEngine(topology.EngineHybrid)
-	if err := ApplyEngineFlag("packed"); err != nil {
-		t.Fatal(err)
-	}
-	if got := topology.CurrentHomologyEngine(); got != topology.EnginePacked {
-		t.Errorf("engine = %v, want packed", got)
-	}
-	if err := ApplyEngineFlag("SPARSE"); err != nil {
-		t.Fatal(err)
-	}
-	if got := topology.CurrentHomologyEngine(); got != topology.EngineSparse {
-		t.Errorf("engine = %v, want sparse", got)
-	}
-	if err := ApplyEngineFlag("Hybrid"); err != nil {
-		t.Fatal(err)
-	}
-	if got := topology.CurrentHomologyEngine(); got != topology.EngineHybrid {
-		t.Errorf("engine = %v, want hybrid", got)
-	}
-	if err := ApplyEngineFlag("dense"); err == nil {
-		t.Error("unknown engine should be rejected")
-	}
-}
 
 func TestMemoSnapshotFlagRoundTrip(t *testing.T) {
 	if err := LoadMemoSnapshot(""); err != nil {
@@ -140,25 +114,6 @@ func TestExitCode(t *testing.T) {
 	}
 	if got := ExitCode(fmt.Errorf("wrapped: %w", &model.EnumerationBudgetError{Budget: 5, Required: 9})); got != 2 {
 		t.Errorf("enumeration budget error → %d, want 2", got)
-	}
-}
-
-func TestApplySearchFlag(t *testing.T) {
-	defer protocol.SetSearchEngine(protocol.SearchParallel)
-	if err := ApplySearchFlag("seq"); err != nil {
-		t.Fatal(err)
-	}
-	if got := protocol.CurrentSearchEngine(); got != protocol.SearchSeq {
-		t.Errorf("engine = %v, want seq", got)
-	}
-	if err := ApplySearchFlag("PARALLEL"); err != nil {
-		t.Fatal(err)
-	}
-	if got := protocol.CurrentSearchEngine(); got != protocol.SearchParallel {
-		t.Errorf("engine = %v, want parallel", got)
-	}
-	if err := ApplySearchFlag("portfolio"); err == nil {
-		t.Error("unknown engine should be rejected")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,6 +84,13 @@ func LookupOp(name string) (Op, bool) {
 	defer opMu.RUnlock()
 	op, ok := opSet[name]
 	return op, ok
+}
+
+// registeredOps returns the names of every registered op, sorted.
+func registeredOps() []string {
+	opMu.RLock()
+	defer opMu.RUnlock()
+	return slices.Sorted(maps.Keys(opSet))
 }
 
 func init() {

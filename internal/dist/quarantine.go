@@ -14,7 +14,7 @@ import (
 // worker whose score crosses the threshold (its leases are revoked, its ring
 // vnodes are skipped in placement, its in-flight shards re-dispatch), and a
 // half-open probe that re-admits it after exponential backoff by re-running
-// a known-answer job and comparing bytes.
+// a known-answer battery — one job per registered op — and comparing bytes.
 
 // Evidence weights. A byte divergence (losing a quorum vote, a hedge-loser
 // mismatch) is the Byzantine signal and counts full; a corrupt response is
@@ -29,9 +29,10 @@ const (
 	successDecay    = 0.5
 )
 
-// probeModel is the known-answer job a half-open probe re-executes on a
-// quarantined worker; the reference bytes are computed locally once and
-// cached. Tiny on purpose: a probe must be cheap enough to repeat forever.
+// probeModel is the model of the known-answer battery a half-open probe
+// re-executes on a quarantined worker, one job per registered op; each op's
+// reference bytes are computed locally on first use and cached. Tiny on
+// purpose: a probe must be cheap enough to repeat forever.
 const probeModel = "star:n=3"
 
 // workerHealth is one worker's trust state, guarded by Coordinator.mu.
@@ -194,7 +195,7 @@ func (c *Coordinator) maybeProbeQuarantined(ctx context.Context) {
 }
 
 // probeQuarantined is the half-open transition: re-execute the known-answer
-// probe job on worker and compare bytes. A match closes the circuit
+// battery on worker and compare bytes. A match closes the circuit
 // (re-admission, score reset); anything else re-opens it with doubled
 // backoff.
 func (c *Coordinator) probeQuarantined(ctx context.Context, worker string) {
@@ -220,54 +221,71 @@ func (c *Coordinator) probeQuarantined(ctx context.Context, worker string) {
 	c.log.Warnf("dist: worker %s failed its half-open probe; quarantine extended (next probe in %s)", worker, next)
 }
 
-// runProbe executes the known-answer job on worker and byte-compares the
-// payload against the locally computed reference.
+// runProbe executes the known-answer battery on worker — every registered
+// op over probeModel — and byte-compares each payload against the locally
+// computed reference. Covering every op is what makes the probe a detector:
+// a worker convicted of lying about one op may answer the others honestly,
+// so any single-op probe would re-admit it.
 func (c *Coordinator) runProbe(ctx context.Context, worker string) bool {
-	ref, total, err := c.probeReference()
-	if err != nil {
-		return false
-	}
 	lease := c.cfg.LeaseTTL
 	if lease > 5*time.Second {
 		lease = 5 * time.Second
 	}
+	for _, name := range registeredOps() {
+		ref := probeReference(name)
+		if ref.err != nil || !c.probeOp(ctx, worker, name, ref, lease) {
+			return false
+		}
+	}
+	return true
+}
+
+// probeOp runs one known-answer job of the battery on worker.
+func (c *Coordinator) probeOp(ctx context.Context, worker, op string, ref *probeRef, lease time.Duration) bool {
 	pctx, cancel := context.WithTimeout(ctx, lease)
 	defer cancel()
 	payload, _, err := c.exec(pctx, worker, ExecRequest{
-		Op:      OpCount,
+		Op:      op,
 		Model:   probeModel,
 		From:    0,
-		To:      total,
+		To:      ref.total,
 		LeaseMs: lease.Milliseconds(),
 	})
-	return err == nil && bytes.Equal(payload, ref)
+	return err == nil && bytes.Equal(payload, ref.payload)
 }
 
-var probeRefOnce sync.Once
-var probeRefPayload []byte
-var probeRefTotal int64
-var probeRefErr error
+// probeRef is one op's known-answer reference over probeModel.
+type probeRef struct {
+	once    sync.Once
+	payload []byte
+	total   int64
+	err     error
+}
 
-// probeReference computes (once, process-wide) the reference bytes of the
-// probe job. The probe model and op are fixed, so all coordinators share it.
-func (c *Coordinator) probeReference() ([]byte, int64, error) {
-	probeRefOnce.Do(func() {
-		op, ok := LookupOp(OpCount)
+var probeRefs sync.Map // op name -> *probeRef
+
+// probeReference computes (once per op, process-wide, on the first probe
+// that needs it) the reference bytes of op over probeModel. The probe model
+// is fixed and ops are deterministic, so all coordinators share them.
+func probeReference(name string) *probeRef {
+	v, _ := probeRefs.LoadOrStore(name, &probeRef{})
+	ref := v.(*probeRef)
+	ref.once.Do(func() {
+		op, ok := LookupOp(name)
 		if !ok {
-			probeRefErr = errUnknownOp(OpCount)
+			ref.err = errUnknownOp(name)
 			return
 		}
 		m, err := cli.ParseModel(probeModel)
 		if err != nil {
-			probeRefErr = err
+			ref.err = err
 			return
 		}
-		probeRefTotal, err = m.EnumerationSize()
-		if err != nil {
-			probeRefErr = err
+		if ref.total, err = m.EnumerationSize(); err != nil {
+			ref.err = err
 			return
 		}
-		probeRefPayload, probeRefErr = op.Run(context.Background(), m, 0, probeRefTotal)
+		ref.payload, ref.err = op.Run(context.Background(), m, 0, ref.total)
 	})
-	return probeRefPayload, probeRefTotal, probeRefErr
+	return ref
 }

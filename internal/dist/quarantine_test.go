@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ksettop/internal/cli"
+	"ksettop/internal/faultinject"
 )
 
 // forceQuarantine opens worker's circuit directly, as if its divergence
@@ -171,6 +172,42 @@ func TestDistQuarantineProbeLiesExtendReadmitsWhenHonest(t *testing.T) {
 	c.mu.Unlock()
 	if score != 0 {
 		t.Fatalf("re-admission must reset the score, got %v", score)
+	}
+}
+
+// The half-open probe must exercise every op, not just one: a worker that
+// lies only about enum payloads answers a count job honestly, so an
+// op-blind count probe re-admits it. Arming dist.lie.enum on even hits
+// makes the lie a byte rotation, which leaves a one-byte count payload
+// intact. The battery runs its jobs in op-name order, so the count job is
+// hit 1 (honest) and the enum job hit 2 (rotated): the probe must fail and
+// the worker must stay quarantined.
+func TestDistQuarantineProbeCatchesEnumLiar(t *testing.T) {
+	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+	c := NewCoordinator(testCoordConfig(workers))
+	forceQuarantine(c, workers[0])
+	c.mu.Lock()
+	c.health[workers[0]].since = time.Now().Add(-time.Minute)
+	c.mu.Unlock()
+
+	armFaults(t, 42, "error:dist.lie.enum@2+2")
+	c.maybeProbeQuarantined(context.Background())
+	waitFor(t, 5*time.Second, "probe to finish", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return !c.health[workers[0]].probing
+	})
+	c.mu.Lock()
+	trips, stillQuarantined := c.health[workers[0]].trips, c.health[workers[0]].quarantined
+	c.mu.Unlock()
+	if !stillQuarantined || trips != 2 {
+		t.Fatalf("enum liar must fail its probe: trips=%d quarantined=%v", trips, stillQuarantined)
+	}
+	if c.Stats().QuarantineReadmissions != 0 {
+		t.Fatal("enum liar was re-admitted")
+	}
+	if hits := faultinject.Hits(faultinject.PointDistLieEnum); hits != 2 {
+		t.Fatalf("probe battery ran %d jobs on the worker, want one per op (2)", hits)
 	}
 }
 

@@ -35,8 +35,8 @@
 //     parallelism setting, engine, and representation (the same determinism
 //     contract as the PR-2 solver sweep).
 //
-// The PR-3 pure-sparse reduction survives as ReducedBettiSparse (the
-// cmds' -engine=sparse) for cross-checking; the two paths share the level
+// The pure-sparse reduction survives as ReducedBettiSparse, a
+// library-only reference for cross-checking; the two paths share the level
 // tables but no reduction code.
 package homology
 
@@ -78,8 +78,7 @@ func ReducedBettiCtx(ctx context.Context, c Complex, maxDim int) ([]int, error) 
 
 // ReducedBettiSparse is ReducedBetti on the PR-3 pure-sparse reduction —
 // merge-based column XOR, no apparent pass, no dense blocks — kept as an
-// independent cross-check of the hybrid engine (and as the -engine=sparse
-// CLI backend).
+// independent cross-check of the hybrid engine.
 func ReducedBettiSparse(c Complex, maxDim int) ([]int, error) {
 	return reducedBettiOf(runctx.Base(), c, maxDim, true)
 }

@@ -95,8 +95,9 @@ func RegisterSnapshot(name string, export func() ([]byte, error), restore func([
 	sections = append(sections, snapshotSection{name: name, export: export, restore: restore})
 }
 
-// SaveSnapshot writes every registered section to path (atomically: a temp
-// file in the same directory is renamed over the target).
+// SaveSnapshot writes every registered section to path (atomically and
+// durably: a temp file in the same directory is fsynced, then renamed over
+// the target).
 func SaveSnapshot(path string) error {
 	sectionMu.Lock()
 	secs := append([]snapshotSection(nil), sections...)
@@ -124,6 +125,13 @@ func SaveSnapshot(path string) error {
 		return fmt.Errorf("memo: %w", err)
 	}
 	if _, err := tmp.Write(buf.Bytes()); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("memo: %w", err)
+	}
+	// Flush to stable storage before the rename publishes the file, so a
+	// crash can never leave a renamed-but-empty snapshot behind.
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("memo: %w", err)

@@ -27,7 +27,7 @@ var (
 //	solver_state.go    backtracking state + nogood store
 //	solver_search.go   sequential oracle and learning DFS
 //	solver_parallel.go probe / decompose / work-steal / reduce engine
-//	                   and the SetSearchEngine / DefaultNodeBudget config
+//	                   and the DefaultNodeBudget config
 
 // SolveResult is the outcome of an exhaustive decision-map search.
 type SolveResult struct {
@@ -74,15 +74,14 @@ type SolveResult struct {
 //
 // The assignments × graphs constraint sweep is sharded across the par
 // worker pool with per-shard intern tables, merged in shard order, and the
-// search phase runs on the engine selected by SetSearchEngine — by default
-// the work-stealing learning engine, whose rank-ordered reduction keeps the
-// whole SolveResult identical to a sequential run of the same engine for
-// every parallelism setting (see solver_parallel.go).
+// search phase runs on the work-stealing learning engine, whose rank-ordered
+// reduction keeps the whole SolveResult identical to a sequential run of the
+// same engine for every parallelism setting (see solver_parallel.go).
 //
 // The search is exponential; nodeBudget bounds explored nodes (error when
 // exhausted).
 func SolveOneRound(roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
-	return SolveOneRoundEngineCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget, CurrentSearchEngine())
+	return SolveOneRoundEngineCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget, SearchParallel)
 }
 
 // SolveOneRoundCtx is SolveOneRound bound to a context: cancellation or
@@ -91,12 +90,12 @@ func SolveOneRound(roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (S
 // returns a wrapped context error. Runs that complete are byte-identical to
 // uncancelled SolveOneRound calls.
 func SolveOneRoundCtx(ctx context.Context, roundGraphs []graph.Digraph, numValues, k, nodeBudget int) (SolveResult, error) {
-	return SolveOneRoundEngineCtx(ctx, roundGraphs, numValues, k, nodeBudget, CurrentSearchEngine())
+	return SolveOneRoundEngineCtx(ctx, roundGraphs, numValues, k, nodeBudget, SearchParallel)
 }
 
-// SolveOneRoundEngine is SolveOneRound pinned to an explicit search engine,
-// for callers (cross-checks, experiments) that must not flip the
-// process-wide SetSearchEngine state under concurrent solves.
+// SolveOneRoundEngine is SolveOneRound pinned to an explicit search engine:
+// the entry through which cross-checks and experiments reach the SearchSeq
+// oracle.
 func SolveOneRoundEngine(roundGraphs []graph.Digraph, numValues, k, nodeBudget int, engine SearchEngine) (SolveResult, error) {
 	return SolveOneRoundEngineCtx(runctx.Base(), roundGraphs, numValues, k, nodeBudget, engine)
 }

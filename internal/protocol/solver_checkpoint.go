@@ -48,7 +48,6 @@ func solverFingerprint(t *solveTables, budget int) uint64 {
 	wu(uint64(len(t.execViews)))
 	wu(uint64(budget))
 	wu(uint64(probeLimit()))
-	wu(uint64(CurrentClauseStoreBudget()))
 	for _, d := range t.initDomains {
 		binary.LittleEndian.PutUint16(b[:2], d)
 		h.Write(b[:2])
@@ -113,7 +112,7 @@ func decodeSharedStore(r *bytes.Reader, numViews, numValues int) (*nogoodStore, 
 	if err != nil {
 		return nil, fmt.Errorf("clause count: %w", err)
 	}
-	ng := newSharedNogoodStore(numViews, numValues)
+	ng := newNogoodStore(numViews, numValues, maxSharedNogoods, maxNogoodLen)
 	maxKey := uint64(numViews) * uint64(numValues)
 	keys := make([]int32, 0, maxNogoodLen)
 	for c := uint64(0); c < count; c++ {

@@ -46,17 +46,9 @@ const (
 	// SearchParallel is the work-stealing learning engine (the default).
 	SearchParallel SearchEngine = iota
 	// SearchSeq is the seed sequential backtracking oracle, kept as a
-	// cross-check (-search=seq on the CLIs).
+	// cross-check reachable only through SolveOneRoundEngine.
 	SearchSeq
 )
-
-var searchEngine atomic.Int32
-
-// SetSearchEngine switches the process-wide search engine.
-func SetSearchEngine(e SearchEngine) { searchEngine.Store(int32(e)) }
-
-// CurrentSearchEngine reports the process-wide search engine.
-func CurrentSearchEngine() SearchEngine { return SearchEngine(searchEngine.Load()) }
 
 // defaultNodeBudget is the stock search budget CLI tools and experiments
 // use when no -solver-budget is given.
@@ -131,55 +123,6 @@ func probeLimit() int {
 		return int(n)
 	}
 	return stockProbeLimit
-}
-
-var clauseBudgetOverride atomic.Int64
-
-// SetClauseStoreBudget bounds the learned-clause stores and switches them
-// from the stock append-only truncation to deterministic aging/eviction: a
-// full store drops its lower-scored half (longest clauses first — length is
-// the LBD stand-in — oldest among equals) and keeps learning. n is the
-// shared probe store's clause bound; each subtree task's private store gets
-// max(n/4, 16). n ≤ 0 restores the stock policy (append-only at the
-// compile-time bounds). Solvable and the witness map are invariant across
-// budgets — learned clauses only prune solution-free subtrees and the
-// branch order is fixed — while node statistics are comparable only between
-// runs using the same budget (each is still byte-identical across
-// -parallelism).
-func SetClauseStoreBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
-	clauseBudgetOverride.Store(int64(n))
-}
-
-// CurrentClauseStoreBudget reports the clause-store budget (0 = stock).
-func CurrentClauseStoreBudget() int { return int(clauseBudgetOverride.Load()) }
-
-// newSharedNogoodStore builds the probe's shared clause store under the
-// active bounding policy.
-func newSharedNogoodStore(numViews, numValues int) *nogoodStore {
-	if n := clauseBudgetOverride.Load(); n > 0 {
-		ng := newNogoodStore(numViews, numValues, int(n), maxNogoodLen)
-		ng.evict = true
-		return ng
-	}
-	return newNogoodStore(numViews, numValues, maxSharedNogoods, maxNogoodLen)
-}
-
-// newTaskNogoodStore builds one subtree task's private clause store under
-// the active bounding policy.
-func newTaskNogoodStore(numViews, numValues int) *nogoodStore {
-	if n := clauseBudgetOverride.Load(); n > 0 {
-		budget := int(n) / 4
-		if budget < 16 {
-			budget = 16
-		}
-		ng := newNogoodStore(numViews, numValues, budget, maxNogoodLen)
-		ng.evict = true
-		return ng
-	}
-	return newNogoodStore(numViews, numValues, maxTaskNogoods, maxNogoodLen)
 }
 
 // SearchStats breaks the engine's deterministic node accounting down by
@@ -548,7 +491,7 @@ func (pr *parallelRun) runTask(task searchTask, d *par.Deque) {
 		return
 	}
 	t := pr.tables
-	local := newTaskNogoodStore(len(t.views), t.numValues)
+	local := newNogoodStore(len(t.views), t.numValues, maxTaskNogoods, maxNogoodLen)
 	var s *cspState
 	if pooled := pr.statePool.Get(); pooled != nil {
 		s = pooled.(*cspState)
@@ -688,7 +631,7 @@ func solveParallel(ctx context.Context, t *solveTables, budget int) (parallelRes
 		res.stats.PrefixNodes = prefixNodes
 		res.stats.SharedNogoods = shared.count()
 	} else {
-		shared = newSharedNogoodStore(len(t.views), t.numValues)
+		shared = newNogoodStore(len(t.views), t.numValues, maxSharedNogoods, maxNogoodLen)
 		var probeStop func(int) bool
 		if ctx != nil && ctx.Done() != nil {
 			probeStop = func(int) bool { return ctl.Stopped() }

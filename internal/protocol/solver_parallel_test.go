@@ -105,22 +105,19 @@ func sameMap(a, b *DecisionMap) bool {
 // lowered so the decomposition and work-stealing layers actually engage on
 // these small instances.
 func TestEnginesAgreeOnCorpus(t *testing.T) {
-	defer SetSearchEngine(SearchParallel)
 	defer par.SetParallelism(0)
 	defer SetSearchProbeLimit(0)
 	for _, inst := range corpusInstances(t) {
-		SetSearchEngine(SearchSeq)
 		par.SetParallelism(1)
-		want, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
+		want, err := SolveOneRoundEngine(inst.graphs, inst.vals, inst.k, 50_000_000, SearchSeq)
 		if err != nil {
 			t.Fatalf("%s: seq oracle: %v", inst.name, err)
 		}
-		SetSearchEngine(SearchParallel)
 		for _, probeLim := range []int{0, 4} { // stock, and forced-parallel-phase
 			SetSearchProbeLimit(probeLim)
 			for _, workers := range []int{1, 2, 8} {
 				par.SetParallelism(workers)
-				got, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
+				got, err := SolveOneRoundEngine(inst.graphs, inst.vals, inst.k, 50_000_000, SearchParallel)
 				if err != nil {
 					t.Fatalf("%s probe=%d workers=%d: %v", inst.name, probeLim, workers, err)
 				}
@@ -135,138 +132,6 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 			}
 		}
 		SetSearchProbeLimit(0)
-	}
-}
-
-// TestNogoodStoreCompactAged pins the eviction policy directly: a full
-// store keeps its higher-scored half — shorter clauses first (the LBD
-// proxy), younger on equal length — renumbered in original relative order,
-// with the occurrence index rebuilt to match.
-func TestNogoodStoreCompactAged(t *testing.T) {
-	ng := newNogoodStore(8, 4, 4, 16)
-	ng.evict = true
-	// numValues = 4, so literal key k belongs to view k/4.
-	clauses := [][]int32{
-		{0, 21, 26}, // id 0: len 3 (views 0,5,6) → evicted
-		{4, 25},     // id 1: len 2 (views 1,6) → kept
-		{8, 22, 30}, // id 2: len 3 (views 2,5,7) → evicted
-		{12},        // id 3: len 1 (view 3) → kept (best score)
-	}
-	for _, cl := range clauses {
-		if !ng.add(cl) {
-			t.Fatalf("add(%v) rejected", cl)
-		}
-	}
-	if !ng.full() {
-		t.Fatal("store should be full at 4 clauses")
-	}
-	ng.compactAged()
-	if got := ng.count(); got != 2 {
-		t.Fatalf("compacted count = %d, want 2", got)
-	}
-	// Kept in original relative order: id 1 ({4,25}) then id 3 ({12}).
-	if got := ng.clause(0); len(got) != 2 || got[0] != 4 || got[1] != 25 {
-		t.Errorf("clause 0 = %v, want [4 25]", got)
-	}
-	if got := ng.clause(1); len(got) != 1 || got[0] != 12 {
-		t.Errorf("clause 1 = %v, want [12]", got)
-	}
-	if occ := ng.occ[25]; len(occ) != 1 || occ[0] != 0 {
-		t.Errorf("occ[25] = %v, want [0]", occ)
-	}
-	if occ := ng.occ[21]; len(occ) != 0 {
-		t.Errorf("occ[21] = %v, want empty (clause evicted)", occ)
-	}
-	if ng.hasAny[0] {
-		t.Error("hasAny[0] should clear: view 0's only literal was evicted")
-	}
-	// The store keeps learning after compaction.
-	if !ng.add([]int32{11, 12}) {
-		t.Error("post-compaction add rejected")
-	}
-}
-
-// TestClauseBudgetDeterminism pins the SetClauseStoreBudget knob: on every
-// corpus instance Solvable and the witness map are invariant across
-// budgets — eviction changes how much is pruned, never what is reachable
-// first — and at any fixed budget the full SolveResult (nodes and per-phase
-// stats included) stays byte-identical across parallelism.
-func TestClauseBudgetDeterminism(t *testing.T) {
-	defer SetClauseStoreBudget(0)
-	defer SetSearchProbeLimit(0)
-	defer par.SetParallelism(0)
-	for _, inst := range corpusInstances(t) {
-		SetClauseStoreBudget(0)
-		want, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
-		if err != nil {
-			t.Fatalf("%s: stock: %v", inst.name, err)
-		}
-		for _, budget := range []int{8, 64, 1024} {
-			SetClauseStoreBudget(budget)
-			// Probe limit forced low so the task sweep (and its budgeted
-			// private stores) genuinely engages on these small instances.
-			SetSearchProbeLimit(4)
-			for _, workers := range []int{1, 8} {
-				par.SetParallelism(workers)
-				got, err := SolveOneRound(inst.graphs, inst.vals, inst.k, 50_000_000)
-				if err != nil {
-					t.Fatalf("%s budget=%d workers=%d: %v", inst.name, budget, workers, err)
-				}
-				if got.Solvable != want.Solvable {
-					t.Errorf("%s budget=%d workers=%d: Solvable=%v, stock says %v",
-						inst.name, budget, workers, got.Solvable, want.Solvable)
-				}
-				if !sameMap(got.Map, want.Map) {
-					t.Errorf("%s budget=%d workers=%d: witness map differs from stock", inst.name, budget, workers)
-				}
-			}
-			SetSearchProbeLimit(0)
-		}
-	}
-
-	// A budget that makes the n=4 star-closure task stores (512/4 = 128
-	// clauses) fill and evict without crippling the refutation — budgets
-	// small enough to strip most learning push this instance toward the
-	// multi-million-node honest search across 64 full-cap tasks, which is
-	// exactly the documented tasks × budget worst case, not a test-sized
-	// workload. The whole SolveResult must be identical at every worker
-	// count, and the eviction must have changed the accounting vs stock
-	// (otherwise this section pins nothing).
-	m, err := model.NonEmptyKernelModel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := m.AllGraphs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetClauseStoreBudget(0)
-	SetSearchProbeLimit(16)
-	par.SetParallelism(1)
-	stock, err := SolveOneRound(all, 4, 3, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetClauseStoreBudget(512)
-	want, err := SolveOneRound(all, 4, 3, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Solvable {
-		t.Fatal("3-set agreement on Sym(star), n=4, must be impossible")
-	}
-	if want.Nodes == stock.Nodes && want.Stats == stock.Stats {
-		t.Fatal("budget=512 did not change the accounting; eviction never engaged")
-	}
-	for _, workers := range []int{2, 5, 8} {
-		par.SetParallelism(workers)
-		got, err := SolveOneRound(all, 4, 3, 50_000_000)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("budget=512 workers=%d: SolveResult %+v differs from single-worker %+v", workers, got, want)
-		}
 	}
 }
 
@@ -322,14 +187,12 @@ func TestBudgetErrorsAgreeAcrossEnginesAndParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := m.Generators()
-	defer SetSearchEngine(SearchParallel)
 	defer par.SetParallelism(0)
 	defer SetSearchProbeLimit(0)
 	for _, engine := range []SearchEngine{SearchSeq, SearchParallel} {
-		SetSearchEngine(engine)
 		for _, workers := range []int{1, 8} {
 			par.SetParallelism(workers)
-			_, err := SolveOneRound(gens, 3, 2, 1)
+			_, err := SolveOneRoundEngine(gens, 3, 2, 1, engine)
 			if err == nil || !strings.Contains(err.Error(), "node budget 1 exhausted") {
 				t.Errorf("engine=%v workers=%d: want budget error, got %v", engine, workers, err)
 			}
@@ -338,7 +201,6 @@ func TestBudgetErrorsAgreeAcrossEnginesAndParallelism(t *testing.T) {
 	// A budget that lands inside the task sweep must also fail identically
 	// at every worker count (the rank-ordered reduction makes the trip
 	// deterministic).
-	SetSearchEngine(SearchParallel)
 	SetSearchProbeLimit(4)
 	m4, err := model.NonEmptyKernelModel(4)
 	if err != nil {

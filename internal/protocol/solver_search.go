@@ -18,7 +18,7 @@ package protocol
 
 // searchSeq is the sequential oracle: plain forward-checking backtracking,
 // counting one node per branch point, with no learning, no backjumping and
-// no fact pre-propagation. Kept as the -search=seq cross-check for the
+// no fact pre-propagation. Kept as the SearchSeq cross-check for the
 // parallel engine. stop, when non-nil, is polled about every 128 nodes;
 // returning true aborts with errSolveCancelled (the entry layer swaps in
 // the actual cause).

@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	mathbits "math/bits"
-	"sort"
-)
+import mathbits "math/bits"
 
 // This file is the state layer of the decision-map solver: the
 // forward-checking backtracking state shared by both search engines, the
@@ -13,25 +10,19 @@ import (
 // nogoodStore is a bounded set of learned conflict clauses. A clause is a
 // set of decision literals (litKey-packed view/value pairs) that cannot all
 // hold in any solution — the product of conflict analysis resolving a dead
-// end back to the decisions that caused it. The stock bounding policy is
-// append-only up to maxClauses (first-learned kept, deterministic); with
-// evict set (the SetClauseStoreBudget knob) a full store instead ages out
-// its lower-scored half — longest clauses first (length is the engine's
-// LBD stand-in: fewer decision literals prune more), oldest among equals —
-// and keeps learning. Occurrence lists index clauses by literal so
-// assignment can maintain per-clause matched-literal counters.
+// end back to the decisions that caused it. The bounding policy is
+// append-only up to maxClauses (first-learned kept, deterministic).
+// Occurrence lists index clauses by literal so assignment can maintain
+// per-clause matched-literal counters.
 //
 // Sharing discipline: the probe phase writes the shared store; once the
 // parallel phase starts it is frozen and read concurrently by every worker
 // (read-mostly by construction — no synchronization needed). Each subtree
-// task learns into its own private store on top. Eviction only ever runs
-// while a store is private to one goroutine (probe or task), so it is as
-// schedule-free as the appends.
+// task learns into its own private store on top.
 type nogoodStore struct {
 	numValues  int
 	maxClauses int
 	maxLen     int
-	evict      bool
 	lens       []int32           // literal count per clause
 	litOffs    []int32           // clause c = lits[litOffs[c]:litOffs[c+1]]
 	lits       []int32           // flat literal arena
@@ -48,65 +39,6 @@ func newNogoodStore(numViews, numValues, maxClauses, maxLen int) *nogoodStore {
 		hasAny:     make([]bool, numViews),
 		occ:        make(map[int32][]int32),
 	}
-}
-
-// full reports whether the store has reached its clause bound.
-func (ng *nogoodStore) full() bool { return len(ng.lens) >= ng.maxClauses }
-
-// compactAged evicts the store down to half its bound, keeping the
-// higher-scored clauses: shorter first (the LBD proxy), younger on equal
-// length. Kept clauses are renumbered in their original relative order, so
-// the rebuild — and therefore every later occurrence-list walk — is a pure
-// function of the learning history. The caller owns resynchronizing any
-// matched counters (cspState.rebuildLearnMatched).
-func (ng *nogoodStore) compactAged() {
-	n := len(ng.lens)
-	keep := ng.maxClauses / 2
-	if keep < 1 {
-		keep = 1
-	}
-	if keep >= n {
-		return
-	}
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if ng.lens[a] != ng.lens[b] {
-			return ng.lens[a] < ng.lens[b]
-		}
-		return a > b
-	})
-	ids = ids[:keep]
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	type span struct{ from, to int32 }
-	spans := make([]span, keep)
-	for k, c := range ids {
-		spans[k] = span{ng.litOffs[c], ng.litOffs[c+1]}
-	}
-	lits := ng.lits[:0]
-	lens := ng.lens[:0]
-	litOffs := ng.litOffs[:1]
-	for i := range ng.hasAny {
-		ng.hasAny[i] = false
-	}
-	clear(ng.occ)
-	for k, sp := range spans {
-		keys := ng.lits[sp.from:sp.to]
-		// In-place forward compaction: the write position never passes the
-		// source span (ids are ascending and evictions only move data left).
-		lits = append(lits, keys...)
-		lens = append(lens, sp.to-sp.from)
-		litOffs = append(litOffs, int32(len(lits)))
-		for _, key := range lits[litOffs[k]:litOffs[k+1]] {
-			ng.occ[key] = append(ng.occ[key], int32(k))
-			ng.hasAny[int(key)/ng.numValues] = true
-		}
-	}
-	ng.lits, ng.lens, ng.litOffs = lits, lens, litOffs
 }
 
 // count returns the number of recorded clauses.
@@ -288,39 +220,13 @@ func (s *cspState) viewExecs(v int) []int32 {
 // learnNogood records the decision-literal keys as a conflict clause in the
 // local store. The caller guarantees every literal is currently assigned,
 // so the new clause's matched counter starts fully saturated and unwinds
-// symmetrically as the decisions roll back. Under a clause-store budget a
-// full store first ages out its lower-scored half; the compaction renumbers
-// the surviving clauses, so the private matched counters are rebuilt from
-// the current assignment.
+// symmetrically as the decisions roll back.
 func (s *cspState) learnNogood(keys []int32) {
 	if s.learn == nil || len(keys) == 0 {
 		return
 	}
-	if s.learn.evict && s.learn.full() {
-		s.learn.compactAged()
-		s.rebuildLearnMatched()
-	}
 	if s.learn.add(keys) {
 		s.ngMatched = append(s.ngMatched, int32(len(keys)))
-	}
-}
-
-// rebuildLearnMatched recomputes the private-store matched counters from
-// the current assignment after a compaction renumbered the clauses. A
-// clause's counter is exactly the number of its literals the trail
-// currently satisfies (assign/unwind maintain the same invariant
-// incrementally), so recomputing from scratch cannot drift.
-func (s *cspState) rebuildLearnMatched() {
-	s.ngMatched = s.ngMatched[:s.frozenCount]
-	for c := int32(0); c < int32(s.learn.count()); c++ {
-		matched := int32(0)
-		for _, key := range s.learn.clause(c) {
-			v := int(key) / s.numValues
-			if s.decided[v] != NoValue && litKey(v, s.decided[v], s.numValues) == key {
-				matched++
-			}
-		}
-		s.ngMatched = append(s.ngMatched, matched)
 	}
 }
 

@@ -282,35 +282,48 @@ func TestHybridSparsePackedGenericCrossCheck(t *testing.T) {
 	}
 }
 
-// TestEngineSwitch pins that every engine setting answers through
-// ReducedBettiNumbers and agrees.
+// bettiEngines runs every GF(2) reduction on c: the production hybrid
+// engine through ReducedBettiNumbers, the pure-sparse reference through
+// ChainComplex.ReducedBettiSparse and the seed packed reference through
+// ReducedBettiNumbersOracle.
+var bettiEngines = []struct {
+	name  string
+	betti func(c *AbstractComplex, maxDim int) ([]int, error)
+}{
+	{"hybrid", ReducedBettiNumbers},
+	{"sparse", func(c *AbstractComplex, maxDim int) ([]int, error) {
+		cc, err := homology.NewChainComplexFromLevels(c.SimplexLevels(maxDim + 1))
+		if err != nil {
+			return nil, err
+		}
+		return cc.ReducedBettiSparse(maxDim)
+	}},
+	{"packed", ReducedBettiNumbersOracle},
+}
+
+// TestEngineSwitch pins that the production engine and both references
+// answer the circle's Betti numbers and agree.
 func TestEngineSwitch(t *testing.T) {
-	defer SetHomologyEngine(EngineHybrid)
 	circle := mustAbstract(t, 3, [][]int{{0, 1}, {1, 2}, {0, 2}})
 	want := []int{0, 1}
-	for _, e := range []HomologyEngine{EngineHybrid, EngineSparse, EnginePacked} {
-		SetHomologyEngine(e)
-		if got := CurrentHomologyEngine(); got != e {
-			t.Fatalf("CurrentHomologyEngine = %v, want %v", got, e)
-		}
-		betti, err := ReducedBettiNumbers(circle, 1)
+	for _, e := range bettiEngines {
+		betti, err := e.betti(circle, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for q := range want {
 			if betti[q] != want[q] {
-				t.Errorf("engine %v: β̃_%d = %d, want %d", e, q, betti[q], want[q])
+				t.Errorf("engine %s: β̃_%d = %d, want %d", e.name, q, betti[q], want[q])
 			}
 		}
 	}
 }
 
 // TestReducedBettiNumbersFromLevels pins the levels-accepting entry point
-// against the facet-based one on every engine: a caller holding
+// against the facet-based one and both references: a caller holding
 // SimplexLevels output must get identical Betti vectors without the engine
 // re-walking the facets.
 func TestReducedBettiNumbersFromLevels(t *testing.T) {
-	defer SetHomologyEngine(EngineHybrid)
 	cases := []struct {
 		name   string
 		n      int
@@ -326,23 +339,21 @@ func TestReducedBettiNumbersFromLevels(t *testing.T) {
 	for _, tc := range cases {
 		c := mustAbstract(t, tc.n, tc.gens)
 		levels := c.SimplexLevels(tc.maxDim + 1)
-		for _, e := range []HomologyEngine{EngineHybrid, EngineSparse, EnginePacked} {
-			SetHomologyEngine(e)
-			want, err := ReducedBettiNumbers(c, tc.maxDim)
+		got, err := ReducedBettiNumbersFromLevels(c, levels, tc.maxDim)
+		if err != nil {
+			t.Fatalf("%s: FromLevels: %v", tc.name, err)
+		}
+		for _, e := range bettiEngines {
+			want, err := e.betti(c, tc.maxDim)
 			if err != nil {
-				t.Fatalf("%s engine %v: %v", tc.name, e, err)
-			}
-			got, err := ReducedBettiNumbersFromLevels(c, levels, tc.maxDim)
-			if err != nil {
-				t.Fatalf("%s engine %v: FromLevels: %v", tc.name, e, err)
+				t.Fatalf("%s engine %s: %v", tc.name, e.name, err)
 			}
 			for q := range want {
 				if got[q] != want[q] {
-					t.Errorf("%s engine %v: FromLevels β̃_%d = %d, want %d", tc.name, e, q, got[q], want[q])
+					t.Errorf("%s engine %s: FromLevels β̃_%d = %d, want %d", tc.name, e.name, q, got[q], want[q])
 				}
 			}
 		}
-		SetHomologyEngine(EngineHybrid)
 		// A level table that stops short of maxDim+1 must be rejected, not
 		// silently treated as a smaller complex.
 		if _, err := ReducedBettiNumbersFromLevels(c, c.SimplexLevels(tc.maxDim), tc.maxDim); err == nil {

@@ -12,6 +12,7 @@ import (
 	"ksettop/internal/bits"
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/combinat"
+	"ksettop/internal/core"
 	"ksettop/internal/dist"
 	"ksettop/internal/experiments"
 	"ksettop/internal/faultinject"
@@ -214,6 +215,30 @@ func BenchmarkProtocolComplexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := topology.ProtocolComplexOneRound(m.Generators(), inputs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProtocolComplexAbstract is the verify-batch Betti setup on
+// star:n=4 at 2 values: the one-round protocol complex and its abstract
+// complex, without homology.
+func BenchmarkProtocolComplexAbstract(b *testing.B) {
+	m, err := model.NonEmptyKernelModel(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pc, err := core.ProtocolComplexOneRound(m, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ac, _, err := pc.ToAbstract()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d := ac.Dimension(); d != 3 {
+			b.Fatalf("dimension %d, want 3", d)
 		}
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
 	"ksettop/internal/combinat"
+	"ksettop/internal/core"
 	"ksettop/internal/dist"
 	"ksettop/internal/experiments"
 	"ksettop/internal/faultinject"
@@ -418,6 +419,30 @@ func benches() []bench {
 			for i := 0; i < b.N; i++ {
 				if _, err := topology.ReducedBettiNumbers(ac, 2); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}},
+		{"ProtocolComplexAbstract", func(b *testing.B) {
+			// The verify-batch Betti setup on star:n=4 at 2 values (2^4 ×
+			// 1695 closure ranks, inside its 2^15 size rule): build the
+			// one-round protocol complex and forget its colors. Tracks the
+			// interned-vertex complex pipeline, not homology.
+			m, err := model.NonEmptyKernelModel(4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pc, err := core.ProtocolComplexOneRound(m, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ac, _, err := pc.ToAbstract()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d := ac.Dimension(); d != 3 {
+					b.Fatalf("dimension %d, want 3", d)
 				}
 			}
 		}},

@@ -48,56 +48,79 @@ func NewAbstract(numVertices int, generators [][]int) (*AbstractComplex, error) 
 }
 
 func normalizeSimplex(gen []int, numVertices int) ([]int, error) {
-	s := make([]int, 0, len(gen))
-	seenV := make(map[int]bool, len(gen))
 	for _, v := range gen {
 		if v < 0 || v >= numVertices {
 			return nil, fmt.Errorf("topology: vertex %d outside [0,%d)", v, numVertices)
 		}
-		if !seenV[v] {
-			seenV[v] = true
-			s = append(s, v)
-		}
 	}
-	sort.Ints(s)
-	return s, nil
+	s := slices.Clone(gen)
+	slices.Sort(s)
+	return slices.Compact(s), nil
 }
 
 // maximalSimplexes removes duplicates and every simplex that is a face of
-// another. After deduplication a simplex can only be dominated by a strictly
-// larger one, so processing in descending size order lets the containment
-// scan stop at the first equal-or-smaller accepted simplex. Pure inputs
-// (every simplex the same size — pseudospheres, protocol complexes)
-// therefore skip the quadratic scan entirely.
+// another, returning the rest in simplexKey order. Each key is built once:
+// one sort by key both orders the output and brings duplicates together.
+// After deduplication a simplex can only be dominated by a strictly larger
+// one, so the containment scan visits simplexes in descending size order and
+// stops at the first equal-or-smaller accepted simplex. Pure inputs (every
+// simplex the same size — pseudospheres, protocol complexes) therefore skip
+// the quadratic scan entirely.
 func maximalSimplexes(simplexes [][]int) [][]int {
-	seen := make(map[string]bool, len(simplexes))
-	uniq := simplexes[:0]
-	for _, s := range simplexes {
-		key := simplexKey(s)
-		if !seen[key] {
-			seen[key] = true
-			uniq = append(uniq, s)
-		}
+	type keyed struct {
+		key string
+		s   []int
 	}
-	sort.Slice(uniq, func(i, j int) bool { return len(uniq[i]) > len(uniq[j]) })
-	var out [][]int
-	for _, s := range uniq {
-		dominated := false
-		for _, big := range out {
-			if len(big) <= len(s) {
-				break // out is in descending size order: no later candidate is larger
+	all := make([]keyed, len(simplexes))
+	var buf []byte
+	for i, s := range simplexes {
+		buf = appendSimplexKey(buf[:0], s)
+		all[i] = keyed{string(buf), s}
+	}
+	slices.SortFunc(all, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	all = slices.CompactFunc(all, func(a, b keyed) bool { return a.key == b.key })
+	if len(all) == 0 {
+		return nil
+	}
+	out := make([][]int, len(all))
+	pure := true
+	for i, k := range all {
+		out[i] = k.s
+		pure = pure && len(k.s) == len(out[0])
+	}
+	if pure {
+		return out
+	}
+	bySize := make([]int, len(out)) // indices into out, largest simplexes first
+	for i := range bySize {
+		bySize[i] = i
+	}
+	slices.SortStableFunc(bySize, func(a, b int) int { return len(out[b]) - len(out[a]) })
+	keep := make([]bool, len(out))
+	var accepted []int
+	for _, i := range bySize {
+		keep[i] = true
+		for _, j := range accepted {
+			if len(out[j]) <= len(out[i]) {
+				break // accepted is in descending size order: no later candidate is larger
 			}
-			if isSubset(s, big) {
-				dominated = true
+			if isSubset(out[i], out[j]) {
+				keep[i] = false
 				break
 			}
 		}
-		if !dominated {
-			out = append(out, s)
+		if keep[i] {
+			accepted = append(accepted, i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return simplexKey(out[i]) < simplexKey(out[j]) })
-	return out
+	n := 0
+	for i, s := range out {
+		if keep[i] {
+			out[n] = s
+			n++
+		}
+	}
+	return out[:n]
 }
 
 // isSubset reports whether sorted slice a ⊆ sorted slice b.
@@ -111,15 +134,15 @@ func isSubset(a, b []int) bool {
 	return i == len(a)
 }
 
-func simplexKey(s []int) string {
-	var b strings.Builder
+// appendSimplexKey appends the comma-separated decimal key of s to buf.
+func appendSimplexKey(buf []byte, s []int) []byte {
 	for i, v := range s {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		b.WriteString(strconv.Itoa(v))
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // NumVertices returns the size of the ambient vertex set.

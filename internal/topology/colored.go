@@ -89,14 +89,54 @@ func (s Simplex[V]) Intersect(t Simplex[V]) Simplex[V] {
 
 // Complex is a colored simplicial complex given by generating facets
 // (Def 4.2). The zero value is not usable; construct with NewComplex.
+//
+// Vertices are interned: ids maps each distinct vertex to its index in
+// verts, and facets are keyed by their vertex-id sequence, so adding facets
+// and forgetting colors never format a facet's vertices. keys holds the
+// "%d:%v" rendering of each interned vertex, formatted once when the vertex
+// is interned, which fixes the canonical orders of Vertices and Facets. A
+// vertex only enters the table as part of an added simplex, and a facet is
+// only dropped for a larger one containing it, so the table always holds
+// exactly the complex's vertices.
 type Complex[V comparable] struct {
+	ids            map[Vertex[V]]int32
+	verts          []Vertex[V]
+	keys           []string
 	facets         map[string]Simplex[V]
 	minDim, maxDim int
 }
 
 // NewComplex returns an empty colored complex.
 func NewComplex[V comparable]() *Complex[V] {
-	return &Complex[V]{facets: make(map[string]Simplex[V]), minDim: -1, maxDim: -1}
+	return &Complex[V]{
+		ids:    make(map[Vertex[V]]int32),
+		facets: make(map[string]Simplex[V]),
+		minDim: -1,
+		maxDim: -1,
+	}
+}
+
+// appendIDKey interns the vertices of s and appends its vertex-id sequence
+// to buf, four little-endian bytes per vertex in stored order. A vertex's
+// key is formatted once, when it is first interned.
+func (c *Complex[V]) appendIDKey(buf []byte, s Simplex[V]) []byte {
+	for _, v := range s {
+		id, ok := c.ids[v]
+		if !ok {
+			id = int32(len(c.verts))
+			c.ids[v] = id
+			c.verts = append(c.verts, v)
+			c.keys = append(c.keys, fmt.Sprintf("%d:%v", v.Color, v.View))
+		}
+		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return buf
+}
+
+// facetID returns the i-th vertex id of a facet key built by appendIDKey.
+func facetID(key string, i int) int32 {
+	j := 4 * i
+	return int32(uint32(key[j]) | uint32(key[j+1])<<8 | uint32(key[j+2])<<16 | uint32(key[j+3])<<24)
 }
 
 // AddFacet inserts a generating simplex. Faces of existing facets are
@@ -110,13 +150,14 @@ func (c *Complex[V]) AddFacet(s Simplex[V]) {
 	if len(s) == 0 {
 		return
 	}
-	key := s.Key()
-	if _, ok := c.facets[key]; ok {
+	var arr [32]byte // room for an 8-vertex key without a heap buffer
+	key := c.appendIDKey(arr[:0], s)
+	if _, ok := c.facets[string(key)]; ok {
 		return
 	}
 	d := s.Dimension()
 	if len(c.facets) == 0 || (d == c.minDim && d == c.maxDim) {
-		c.facets[key] = s
+		c.facets[string(key)] = s
 		if len(c.facets) == 1 {
 			c.minDim, c.maxDim = d, d
 		}
@@ -130,7 +171,7 @@ func (c *Complex[V]) AddFacet(s Simplex[V]) {
 			delete(c.facets, k)
 		}
 	}
-	c.facets[key] = s
+	c.facets[string(key)] = s
 	if d < c.minDim {
 		c.minDim = d
 	}
@@ -139,16 +180,28 @@ func (c *Complex[V]) AddFacet(s Simplex[V]) {
 	}
 }
 
-// Facets returns the maximal simplexes in canonical key order.
+// Facets returns the maximal simplexes in canonical Key order. Each key is
+// assembled from the cached vertex keys, so it equals Key without
+// formatting any vertex again.
 func (c *Complex[V]) Facets() []Simplex[V] {
-	keys := make([]string, 0, len(c.facets))
-	for k := range c.facets {
-		keys = append(keys, k)
+	type keyed struct {
+		key string
+		s   Simplex[V]
 	}
-	sort.Strings(keys)
-	out := make([]Simplex[V], len(keys))
-	for i, k := range keys {
-		out[i] = c.facets[k]
+	all := make([]keyed, 0, len(c.facets))
+	var b strings.Builder
+	for k, s := range c.facets {
+		b.Reset()
+		for i := 0; i < len(k)/4; i++ {
+			b.WriteString(c.keys[facetID(k, i)])
+			b.WriteByte('|')
+		}
+		all = append(all, keyed{b.String(), s})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	out := make([]Simplex[V], len(all))
+	for i, f := range all {
+		out[i] = f.s
 	}
 	return out
 }
@@ -191,30 +244,31 @@ func (c *Complex[V]) ContainsSimplex(s Simplex[V]) bool {
 	return false
 }
 
-// Vertices returns the distinct vertices of the complex, sorted by
-// (color, key order).
+// Vertices returns the distinct vertices of the complex, sorted by their
+// "%d:%v" keys (color first, then view rendering).
 func (c *Complex[V]) Vertices() []Vertex[V] {
-	seen := make(map[string]Vertex[V])
-	for _, f := range c.facets {
-		for _, v := range f {
-			seen[fmt.Sprintf("%d:%v", v.Color, v.View)] = v
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Vertex[V], len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
+	order := c.vertexOrder()
+	out := make([]Vertex[V], len(order))
+	for i, id := range order {
+		out[i] = c.verts[id]
 	}
 	return out
 }
 
-// Union merges the facets of other into c.
+// vertexOrder returns the interned vertex ids sorted by vertex key.
+func (c *Complex[V]) vertexOrder() []int32 {
+	order := make([]int32, len(c.keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return c.keys[order[i]] < c.keys[order[j]] })
+	return order
+}
+
+// Union merges the facets of other into c. The resulting maximal facets do
+// not depend on insertion order, so other's facets are taken unsorted.
 func (c *Complex[V]) Union(other *Complex[V]) {
-	for _, f := range other.Facets() {
+	for _, f := range other.facets {
 		c.AddFacet(f)
 	}
 }
@@ -237,16 +291,18 @@ func (c *Complex[V]) Intersection(other *Complex[V]) *Complex[V] {
 // Vertices, and facets become integer vertex lists. The vertex table is
 // returned alongside so callers can map abstract vertices back.
 func (c *Complex[V]) ToAbstract() (*AbstractComplex, []Vertex[V], error) {
-	verts := c.Vertices()
-	index := make(map[string]int, len(verts))
-	for i, v := range verts {
-		index[fmt.Sprintf("%d:%v", v.Color, v.View)] = i
+	order := c.vertexOrder()
+	verts := make([]Vertex[V], len(order))
+	rank := make([]int, len(order))
+	for i, id := range order {
+		verts[i] = c.verts[id]
+		rank[id] = i
 	}
 	gens := make([][]int, 0, len(c.facets))
-	for _, f := range c.facets {
-		gen := make([]int, len(f))
-		for i, v := range f {
-			gen[i] = index[fmt.Sprintf("%d:%v", v.Color, v.View)]
+	for k := range c.facets {
+		gen := make([]int, len(k)/4)
+		for i := range gen {
+			gen[i] = rank[facetID(k, i)]
 		}
 		gens = append(gens, gen)
 	}

@@ -79,11 +79,12 @@ func InterpretPseudosphere(ps *Pseudosphere[bits.Set], tau Assignment) (*Pseudos
 
 // InterpretComplex computes A(I) (Def 4.14): the union over input facets τ
 // and facets σ of the uninterpreted complex of the interpreted simplexes
-// σ(τ).
+// σ(τ). The maximal facets of the union do not depend on insertion order,
+// so a's facets are taken unsorted.
 func InterpretComplex(a *Complex[bits.Set], inputs []Assignment) (*Complex[IView], error) {
 	out := NewComplex[IView]()
 	for _, tau := range inputs {
-		for _, sigma := range a.Facets() {
+		for _, sigma := range a.facets {
 			s, err := InterpretSimplex(sigma, tau)
 			if err != nil {
 				return nil, err

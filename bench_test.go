@@ -410,6 +410,27 @@ func BenchmarkDecisionMapSolver(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveOneRoundWitness is the verify-batch witness search on the
+// star:n=4 closure at 5 values, k=4: 625 assignments × 447 distinct in-set
+// lists = 279,375 ranks, one constraint each, so the table build dominates.
+func BenchmarkSolveOneRoundWitness(b *testing.B) {
+	m, err := model.NonEmptyKernelModel(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all, err := m.AllGraphs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := protocol.SolveOneRound(all, 5, 4, 50_000_000)
+		if err != nil || !res.Solvable {
+			b.Fatalf("solvable=%v err=%v, want a witness", res.Solvable, err)
+		}
+	}
+}
+
 func BenchmarkSolveOneRoundParallel(b *testing.B) {
 	// The n=4 star-closure impossibility with the probe limit forced low,
 	// so the full work-stealing pipeline runs: decomposition into ~64

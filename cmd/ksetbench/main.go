@@ -512,6 +512,28 @@ func benches() []bench {
 				}
 			}
 		}},
+		{"SolveOneRoundWitness", func(b *testing.B) {
+			// The verify-batch witness search on the star:n=4 closure at
+			// 5 values, k=4: 625 assignments × 447 distinct in-set lists =
+			// 279,375 ranks, one constraint each. Tracks the table build
+			// (view numbering, rank-addressed constraints) and the
+			// fail-first selector.
+			m, err := model.NonEmptyKernelModel(4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			all, err := m.AllGraphs()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := protocol.SolveOneRound(all, 5, 4, protocol.DefaultNodeBudget())
+				if err != nil || !res.Solvable {
+					b.Fatalf("solvable=%v err=%v, want a witness", res.Solvable, err)
+				}
+			}
+		}},
 		{"SolveOneRoundParallel", func(b *testing.B) {
 			// The n=4 star-closure impossibility with the probe limit
 			// forced low: the full work-stealing pipeline (decomposition,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ksettop/internal/bits"
 	"ksettop/internal/graph"
 	"ksettop/internal/obs"
 	"ksettop/internal/par"
@@ -23,7 +22,8 @@ var (
 //
 //	solver.go          input validation, table-build orchestration, engine
 //	                   dispatch (SolveOneRound)
-//	solver_tables.go   interning sweeps and flat search tables
+//	solver_tables.go   view numbering, rank-addressed constraints and
+//	                   flat search tables
 //	solver_state.go    backtracking state + nogood store
 //	solver_search.go   sequential oracle and learning DFS
 //	solver_parallel.go probe / decompose / work-steal / reduce engine
@@ -72,9 +72,10 @@ type SolveResult struct {
 // the product graph's in-neighborhoods, so the r-round oblivious question is
 // exactly this one-round question on S^r.
 //
-// The assignments × graphs constraint sweep is sharded across the par
-// worker pool with per-shard intern tables, merged in shard order, and the
-// search phase runs on the work-stealing learning engine, whose rank-ordered
+// All graphs must have the same number of processes. The assignments ×
+// graphs constraint sweep writes each rank's constraint straight into its
+// slot of one arena, sharded across the par worker pool, and the search
+// phase runs on the work-stealing learning engine, whose rank-ordered
 // reduction keeps the whole SolveResult identical to a sequential run of the
 // same engine for every parallelism setting (see solver_parallel.go).
 //
@@ -112,7 +113,16 @@ func SolveOneRoundEngineCtx(ctx context.Context, roundGraphs []graph.Digraph, nu
 	if k < 1 {
 		return SolveResult{}, fmt.Errorf("protocol: k %d must be ≥ 1", k)
 	}
+	// Every graph must be on the same n processes: the table build reads
+	// In_g(p) for p < n, and constraint id = rank rests on each graph's
+	// in-sets covering all n positions, which holds because graph.Digraph
+	// enforces every self-loop (see solver_tables.go).
 	n := roundGraphs[0].N()
+	for gi, g := range roundGraphs {
+		if g.N() != n {
+			return SolveResult{}, fmt.Errorf("protocol: graph %d has %d processes, graph 0 has %d", gi, g.N(), n)
+		}
+	}
 	obsSolves.Inc()
 	ctx, solveSpan := obs.StartSpan(ctx, "solver.solve")
 	solveSpan.SetInt("graphs", int64(len(roundGraphs)))
@@ -127,102 +137,16 @@ func SolveOneRoundEngineCtx(ctx context.Context, roundGraphs []graph.Digraph, nu
 		}
 	}
 
-	// The view of process p under graph g depends only on In_g(p) and the
-	// assignment, so the distinct in-neighborhoods across all graphs are
-	// collected once up front: per assignment, each distinct in-set is
-	// flattened and interned exactly once instead of n×|graphs| times.
-	inSetID := make(map[bits.Set]int)
-	var inSets []bits.Set
-	graphIn := make([][]int32, len(roundGraphs))
-	for gi, g := range roundGraphs {
-		row := make([]int32, n)
-		for p := 0; p < n; p++ {
-			in := g.In(p)
-			id, ok := inSetID[in]
-			if !ok {
-				id = len(inSets)
-				inSetID[in] = id
-				inSets = append(inSets, in)
-			}
-			row[p] = int32(id)
-		}
-		graphIn[gi] = row
+	views, execStarts, execData, err := buildTables(ctx, newSolveInput(roundGraphs, n, numValues, numAssignments))
+	if err != nil {
+		return SolveResult{}, err
 	}
-
-	// A graph enters a constraint only through its SET of in-neighborhoods:
-	// two graphs with the same sorted-unique in-set-id list induce identical
-	// constraints under every assignment. Closures are full of such
-	// duplicates (e.g. the n=4 star closure has 1695 graphs but only 447
-	// distinct lists), so the per-assignment sweep runs over the deduped
-	// lists. Dedup preserves first-occurrence order, which keeps the
-	// constraint numbering identical to a graph-by-graph sweep.
-	lists := newConstraintIntern()
-	idScratch := make([]int32, 0, n)
-	for _, row := range graphIn {
-		ids := idScratch[:0]
-		for p := 0; p < n; p++ {
-			ids = append(ids, row[p])
-		}
-		lists.insert(sortDedupInt32(ids))
-	}
-	execLists := make([][]int32, lists.count())
-	for c := range execLists {
-		execLists[c] = lists.get(int32(c))
-	}
-
-	// Build the view universe and the execution constraints over the rank
-	// space assignments × lists. Distinct executions frequently induce
-	// identical view SETS; since the constraint "≤ k distinct decisions"
-	// depends only on the view set, constraints are deduplicated, which
-	// shrinks hard instances by orders of magnitude. Both tables intern
-	// through 64-bit hashes with full content comparison — no per-execution
-	// key strings or view slices are allocated; memory grows only with the
-	// number of DISTINCT views and constraints.
-	in := solveInput{
-		n:         n,
-		numValues: numValues,
-		inSets:    inSets,
-		execLists: execLists,
-	}
-	total := int64(numAssignments) * int64(len(execLists))
-	shards := par.NumShards(total)
-	var views *viewIntern
-	var constraints *constraintIntern
-	tableCtx, tableSpan := obs.StartSpan(ctx, "solver.tables")
-	defer tableSpan.End() // idempotent: records at the explicit End below
-	tableCtl := &par.Ctl{}
-	if shards <= 1 {
-		if err := par.ForEachShardNCtx(tableCtx, total, 1, tableCtl, func(_ int, from, to int64, _ *par.Ctl) {
-			views, constraints = buildSolveTables(in, from, to)
-		}); err != nil {
-			return SolveResult{}, cancelCause(tableCtl, ctx)
-		}
-	} else {
-		localViews := make([]*viewIntern, shards)
-		localCons := make([]*constraintIntern, shards)
-		if err := par.ForEachShardNCtx(tableCtx, total, shards, tableCtl, func(shard int, from, to int64, _ *par.Ctl) {
-			localViews[shard], localCons[shard] = buildSolveTables(in, from, to)
-		}); err != nil {
-			// Cancelled mid-build: some shard tables are missing, so the
-			// merge (and everything after it) is off the table.
-			return SolveResult{}, cancelCause(tableCtl, ctx)
-		}
-		if tableCtl.Stopped() {
-			return SolveResult{}, cancelCause(tableCtl, ctx)
-		}
-		views, constraints = mergeSolveTables(n, localViews, localCons)
-	}
-
-	tableSpan.SetInt("views", int64(len(views.views)))
-	tableSpan.SetInt("constraints", int64(constraints.count()))
-	tableSpan.End()
-
-	res := SolveResult{Views: len(views.views), Executions: numAssignments * len(roundGraphs)}
+	res := SolveResult{Views: len(views), Executions: numAssignments * len(roundGraphs)}
 	if numValues > 16 {
 		return res, fmt.Errorf("protocol: solver supports ≤16 values, got %d", numValues)
 	}
 
-	t := assembleTables(k, numValues, views, constraints)
+	t := assembleTables(k, numValues, views, execStarts, execData)
 	switch engine {
 	case SearchSeq:
 		s := newCSPState(t, nil, nil)

@@ -263,12 +263,13 @@ func TestPooledStateCleanAfterWitnessTask(t *testing.T) {
 	// two values, k=1 (consensus on the shared execution — satisfiable by
 	// deciding one value everywhere).
 	tables := &solveTables{
-		k:         1,
-		numValues: 2,
-		views:     []View{{0}, {0, 1}, {1}},
-		execViews: [][]int32{{0, 1, 2}},
-		veStarts:  []int32{0, 1, 2, 3},
-		veData:    []int32{0, 0, 0},
+		k:          1,
+		numValues:  2,
+		views:      []View{{0}, {0, 1}, {1}},
+		execStarts: []int32{0, 3},
+		execData:   []int32{0, 1, 2},
+		veStarts:   []int32{0, 1, 2, 3},
+		veData:     []int32{0, 0, 0},
 		initDomains: []uint16{
 			0b11, 0b11, 0b11,
 		},

@@ -105,17 +105,22 @@ type cspState struct {
 	t         *solveTables
 	k         int
 	numValues int
-	execViews [][]int32
-	decided   []Value
-	domains   []uint16
-	counts    []int32 // flat [execution][value] decision counts
-	distinct  []int32
-	valueMask []uint16 // per execution: values with count > 0
+	// execStarts/execData: constraint e touches views
+	// execData[execStarts[e]:execStarts[e+1]], ascending.
+	execStarts []int32
+	execData   []int32
+	decided    []Value
+	domains    []uint16
+	counts     []int32 // flat [execution][value] decision counts
+	distinct   []int32
+	valueMask  []uint16 // per execution: values with count > 0
 	// viewExecs in CSR form: view v touches constraint indices
 	// veData[veStarts[v]:veStarts[v+1]], ascending.
 	veStarts []int32
 	veData   []int32
 	trail    []trailEntry
+	// open indexes the unassigned views by domain size for selectView.
+	open sizeBuckets
 
 	firstSetter []int32
 	removedBy   []int32
@@ -150,20 +155,21 @@ type cspState struct {
 // newCSPState builds a fresh search state over the shared tables. frozen is
 // consulted read-only; learn receives clauses recorded via learnNogood.
 func newCSPState(t *solveTables, frozen, learn *nogoodStore) *cspState {
-	numViews := len(t.views)
+	numViews, numExecs := len(t.views), len(t.execStarts)-1
 	s := &cspState{
 		t:           t,
 		k:           t.k,
 		numValues:   t.numValues,
-		execViews:   t.execViews,
+		execStarts:  t.execStarts,
+		execData:    t.execData,
 		decided:     make([]Value, numViews),
 		domains:     append([]uint16(nil), t.initDomains...),
-		counts:      make([]int32, len(t.execViews)*t.numValues),
-		distinct:    make([]int32, len(t.execViews)),
-		valueMask:   make([]uint16, len(t.execViews)),
+		counts:      make([]int32, numExecs*t.numValues),
+		distinct:    make([]int32, numExecs),
+		valueMask:   make([]uint16, numExecs),
 		veStarts:    t.veStarts,
 		veData:      t.veData,
-		firstSetter: make([]int32, len(t.execViews)*t.numValues),
+		firstSetter: make([]int32, numExecs*t.numValues),
 		removedBy:   make([]int32, numViews*t.numValues),
 		isDecision:  make([]bool, numViews),
 		frozen:      frozen,
@@ -171,9 +177,11 @@ func newCSPState(t *solveTables, frozen, learn *nogoodStore) *cspState {
 		frameOf:     make([]int32, numViews),
 		seen:        make([]int32, numViews),
 	}
+	s.open = newSizeBuckets(numViews, t.numValues)
 	for i := range s.decided {
 		s.decided[i] = NoValue
 		s.frameOf[i] = -1
+		s.open.add(i, s.domains[i])
 	}
 	if frozen != nil {
 		s.frozenCount = frozen.count()
@@ -210,6 +218,11 @@ type trailEntry struct {
 	view      int
 	oldDomain uint16
 	assigned  bool // true: undo an assignment; false: restore oldDomain
+}
+
+// execViews returns the view ids constraint e touches.
+func (s *cspState) execViews(e int32) []int32 {
+	return s.execData[s.execStarts[e]:s.execStarts[e+1]]
 }
 
 // viewExecs returns the constraint indices touching view v.
@@ -300,6 +313,7 @@ func (s *cspState) assign(id int, d Value, asDecision bool) bool {
 			return false
 		}
 		s.decided[v] = val
+		s.open.remove(v, s.domains[v])
 		s.isDecision[v] = first
 		first = false
 		s.trail = append(s.trail, trailEntry{view: v, assigned: true})
@@ -324,7 +338,7 @@ func (s *cspState) assign(id int, d Value, asDecision bool) bool {
 				continue
 			}
 			// Execution e is saturated: restrict its unassigned views.
-			for _, u := range s.execViews[e] {
+			for _, u := range s.execViews(e) {
 				if s.decided[u] != NoValue {
 					continue
 				}
@@ -336,6 +350,7 @@ func (s *cspState) assign(id int, d Value, asDecision bool) bool {
 				for rm := s.domains[u] &^ nd; rm != 0; rm &= rm - 1 {
 					s.removedBy[int(u)*s.numValues+mathbits.TrailingZeros16(rm)] = e
 				}
+				s.open.move(int(u), s.domains[u], nd)
 				s.domains[u] = nd
 				switch onesCount16(nd) {
 				case 0:
@@ -361,11 +376,15 @@ func (s *cspState) unwind(mark int) {
 	for i := len(s.trail) - 1; i >= mark; i-- {
 		t := s.trail[i]
 		if !t.assigned {
+			// Restrictions only touch unassigned views, and any later
+			// assignment of this view was unwound first.
+			s.open.move(t.view, s.domains[t.view], t.oldDomain)
 			s.domains[t.view] = t.oldDomain
 			continue
 		}
 		val := s.decided[t.view]
 		s.decided[t.view] = NoValue
+		s.open.add(t.view, s.domains[t.view])
 		s.isDecision[t.view] = false
 		s.bumpNogoods(t.view, val, -1)
 		for _, e := range s.viewExecs(t.view) {
@@ -468,24 +487,98 @@ func (s *cspState) analyzeConflict() []int32 {
 }
 
 // selectView picks the unassigned view with the smallest domain
-// (fail-first, lowest id on ties), or -1 when every view is decided. Both
+// (fail-first, lowest id on ties), or -1 when every view is decided. Sizes
+// 0 and 1 tie: the lowest-id view with at most one value left wins. Both
 // engines use this selector, which keeps their branch orders — and
 // therefore the witness a SAT search finds first — identical.
 func (s *cspState) selectView() int {
-	best, bestSize := -1, 17
-	for v, d := range s.decided {
-		if d != NoValue {
+	v := s.open.first()
+	if selectViewCheck != nil {
+		selectViewCheck(s, v)
+	}
+	return v
+}
+
+// selectViewCheck, when non-nil, sees every selectView answer together
+// with the state it was computed from. Tests set it to compare the
+// selector against a linear scan; production leaves it nil.
+var selectViewCheck func(s *cspState, v int)
+
+// sizeBuckets is a set of views partitioned by domain size, answering
+// "lowest view id in the smallest non-empty size class" without a scan over
+// all views. Class b holds the views of size b+1, except class 0, which
+// also holds size 0. Each class is a two-level bitset — words[v/64] has bit
+// v%64, summary[w/64] has bit w%64 iff words[w] is non-zero — plus a count,
+// so first() skips empty classes at once and finds the lowest member of a
+// non-empty one in O(views/4096) word reads.
+type sizeBuckets struct {
+	nw, ns  int      // words and summary words per class
+	words   []uint64 // [class][nw]
+	summary []uint64 // [class][ns]
+	counts  []int32  // members per class
+}
+
+func newSizeBuckets(numViews, numValues int) sizeBuckets {
+	nw := (numViews + 63) / 64
+	ns := (nw + 63) / 64
+	return sizeBuckets{
+		nw:      nw,
+		ns:      ns,
+		words:   make([]uint64, numValues*nw),
+		summary: make([]uint64, numValues*ns),
+		counts:  make([]int32, numValues),
+	}
+}
+
+// sizeClass maps a domain to its class.
+func sizeClass(dom uint16) int {
+	if c := onesCount16(dom) - 1; c > 0 {
+		return c
+	}
+	return 0
+}
+
+func (b *sizeBuckets) add(v int, dom uint16) {
+	c := sizeClass(dom)
+	w := c*b.nw + v>>6
+	b.words[w] |= 1 << uint(v&63)
+	b.summary[c*b.ns+(v>>12)] |= 1 << uint((v>>6)&63)
+	b.counts[c]++
+}
+
+func (b *sizeBuckets) remove(v int, dom uint16) {
+	c := sizeClass(dom)
+	w := c*b.nw + v>>6
+	b.words[w] &^= 1 << uint(v&63)
+	if b.words[w] == 0 {
+		b.summary[c*b.ns+(v>>12)] &^= 1 << uint((v>>6)&63)
+	}
+	b.counts[c]--
+}
+
+// move re-files view v when its domain changes from old to dom.
+func (b *sizeBuckets) move(v int, old, dom uint16) {
+	if sizeClass(old) != sizeClass(dom) {
+		b.remove(v, old)
+		b.add(v, dom)
+	}
+}
+
+// first returns the lowest view of the smallest non-empty class, or -1.
+func (b *sizeBuckets) first() int {
+	for c, n := range b.counts {
+		if n == 0 {
 			continue
 		}
-		size := onesCount16(s.domains[v])
-		if size < bestSize {
-			best, bestSize = v, size
-			if size <= 1 {
-				break
+		for i, sw := range b.summary[c*b.ns : (c+1)*b.ns] {
+			if sw == 0 {
+				continue
 			}
+			w := i<<6 + mathbits.TrailingZeros64(sw)
+			return w<<6 + mathbits.TrailingZeros64(b.words[c*b.nw+w])
 		}
 	}
-	return best
+	return -1
 }
 
 func onesCount16(x uint16) int { return mathbits.OnesCount16(x) }

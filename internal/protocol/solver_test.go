@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"strings"
 	"testing"
 
 	"ksettop/internal/graph"
@@ -165,10 +166,11 @@ func TestSolverMultiRoundViaProducts(t *testing.T) {
 }
 
 func TestSolverDeterministicAcrossParallelism(t *testing.T) {
-	// The table-building sweep shards across the worker pool with per-shard
-	// intern tables; the shard-order merge must reproduce the sequential
-	// view/constraint universe exactly, so the whole SolveResult — including
-	// the explored node count — is pinned across worker counts. The n=4 star
+	// The table-building sweep shards across the worker pool, each shard
+	// writing its ranks' constraints into its own arena window; the result
+	// must reproduce the sequential view/constraint universe exactly, so the
+	// whole SolveResult — including the explored node count — is pinned
+	// across worker counts. The n=4 star
 	// closure (1695 graphs, 256 assignments) is large enough that the
 	// sharded path actually runs at every multi-worker setting.
 	m, err := model.NonEmptyKernelModel(4)
@@ -212,6 +214,16 @@ func TestSolverGuards(t *testing.T) {
 	}
 	if _, err := SolveOneRound([]graph.Digraph{star}, 2, 0, 1000); err == nil {
 		t.Errorf("k=0 should fail")
+	}
+	// Mixed process counts, either way round and on both engines.
+	star4, _ := graph.Star(4, 0)
+	for _, gs := range [][]graph.Digraph{{star, star4}, {star4, star}} {
+		for _, engine := range []SearchEngine{SearchParallel, SearchSeq} {
+			_, err := SolveOneRoundEngine(gs, 2, 1, 1000, engine)
+			if err == nil || !strings.Contains(err.Error(), "processes") {
+				t.Errorf("graphs on %d and %d processes: err = %v, want a process-count error", gs[0].N(), gs[1].N(), err)
+			}
+		}
 	}
 	gens := symStars(t, 3)
 	if _, err := SolveOneRound(gens, 3, 2, 1); err == nil {

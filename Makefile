@@ -1,7 +1,7 @@
 GO ?= go
 # Benchmark snapshot index: bump per PR so the perf trajectory accumulates
 # (BENCH_1.json, BENCH_2.json, …).
-BENCH_N ?= 14
+BENCH_N ?= 15
 
 .PHONY: all build test vet race bench benchjson benchcheck chaos experiments perfbench-check clean
 
@@ -25,7 +25,9 @@ race:
 # tier (worker crashes, stragglers, corrupt responses, Byzantine liars with
 # quorum cross-validation + quarantine + degraded serving, coordinator
 # kill/restart recovery) and the crash-resume matrix (kill-and-restart over
-# solver/homology/dist checkpoints, SIGKILL torn-write atomicity), each test
+# solver/homology/dist checkpoints, SIGKILL torn-write atomicity, and the
+# loader hardening of all three durable files: memo snapshots, checkpoints
+# and the shard journal), each test
 # individually time-boxed so a stuck drain fails fast instead of hanging CI.
 # The Byzantine matrix then reruns ten times, so a half-open probe that lets
 # a liar back in cannot hide as an occasional flake.

@@ -1,13 +1,14 @@
 // Package checkpoint persists the progress of long engine runs — solver
 // refutations, homology reductions, distributed shard executions — so a
-// crashed or signalled process resumes instead of recomputing.
+// crashed or signalled process resumes instead of recomputing. It also owns
+// the durable-file codec (codec.go) that memo snapshots and the dist shard
+// journal are written in.
 //
-// The file format reuses the memo snapshot design (PR 3/6): a magic+version
-// header, a job key identifying the run the checkpoint belongs to, and a
-// registry of named sections, each CRC32-checksummed (IEEE, over name and
-// payload) so torn writes and bit rot are detected at load. Writers go
-// through an atomic temp-file + fsync + rename, so the file on disk is
-// always either the previous checkpoint or the new one, never a mix.
+// A checkpoint is a sectioned file (magic ksetckpt\x01): a header naming the
+// job the checkpoint belongs to, then named sections, each CRC32-checksummed
+// so torn writes and bit rot are detected at load. Writers go through the
+// codec's atomic temp-file + fsync + rename, so the file on disk is always
+// either the previous checkpoint or the new one, never a mix.
 //
 // The durability contract, pinned by the kill-and-restart chaos tests:
 // a run resumed from ANY checkpoint produces results byte-identical to an
@@ -19,48 +20,16 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 
 	"ksettop/internal/faultinject"
-	"ksettop/internal/memo"
 )
 
 // fileMagic identifies the checkpoint format; the trailing version byte
 // bumps on incompatible changes. Loaders reject other magics outright.
 var fileMagic = []byte("ksetckpt\x01")
-
-// ErrCorrupt is the sentinel every checkpoint integrity failure —
-// truncation, checksum mismatch, foreign bytes — matches under errors.Is.
-// Callers treat it as "warn and start cold", never as fatal.
-var ErrCorrupt = errors.New("checkpoint: corrupt file")
-
-// CorruptError reports a checkpoint file that failed validation.
-type CorruptError struct {
-	Path    string // the file that failed
-	Section string // the section being read, if the failure was localized
-	Reason  string // what failed
-}
-
-func (e *CorruptError) Error() string {
-	if e.Section != "" {
-		return fmt.Sprintf("checkpoint: corrupt file %s (section %q): %s", e.Path, e.Section, e.Reason)
-	}
-	return fmt.Sprintf("checkpoint: corrupt file %s: %s", e.Path, e.Reason)
-}
-
-// Is matches ErrCorrupt.
-func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
-
-func corruptf(path, section, format string, args ...any) error {
-	return &CorruptError{Path: path, Section: section, Reason: fmt.Sprintf(format, args...)}
-}
 
 // ErrJobMismatch is the sentinel a JobMismatchError matches: the file is a
 // valid checkpoint, but of a DIFFERENT job (other tool, model or flag set).
@@ -82,124 +51,27 @@ func (e *JobMismatchError) Error() string {
 // Is matches ErrJobMismatch.
 func (e *JobMismatchError) Is(target error) bool { return target == ErrJobMismatch }
 
-// Section is one named progress payload inside a checkpoint file.
-type Section struct {
-	Name    string
-	Payload []byte
-}
-
-// sectionCRC is the integrity checksum of one section: IEEE CRC32 over the
-// section name followed by its payload (same scheme as memo snapshots).
-func sectionCRC(name string, payload []byte) uint32 {
-	crc := crc32.NewIEEE()
-	io.WriteString(crc, name)
-	crc.Write(payload)
-	return crc.Sum32()
-}
-
-// Encode serializes a checkpoint image: header, job key, section registry.
+// Encode serializes a checkpoint image: header, job key, sections.
 func Encode(jobKey string, secs []Section) []byte {
-	var buf bytes.Buffer
-	buf.Write(fileMagic)
-	memo.WriteUvarint(&buf, uint64(len(jobKey)))
-	buf.WriteString(jobKey)
-	memo.WriteUvarint(&buf, uint64(len(secs)))
-	for _, s := range secs {
-		memo.WriteUvarint(&buf, uint64(len(s.Name)))
-		buf.WriteString(s.Name)
-		memo.WriteUvarint(&buf, uint64(len(s.Payload)))
-		buf.Write(s.Payload)
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], sectionCRC(s.Name, s.Payload))
-		buf.Write(crc[:])
-	}
-	return buf.Bytes()
+	return EncodeSections(fileMagic, jobKey, secs)
 }
 
-// Decode parses a checkpoint image, verifying every section checksum BEFORE
-// returning anything, so a torn or rotted file never half-resumes. path only
-// labels errors.
-func Decode(path string, data []byte) (string, []Section, error) {
-	if !bytes.HasPrefix(data, fileMagic) {
-		return "", nil, corruptf(path, "", "not a kset checkpoint")
-	}
-	r := bytes.NewReader(data[len(fileMagic):])
-	jobKey, err := memo.ReadLengthPrefixed(r)
-	if err != nil {
-		return "", nil, corruptf(path, "", "job key: %v", err)
-	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", nil, corruptf(path, "", "section count: %v", err)
-	}
-	// Each section occupies ≥ 6 bytes (two length prefixes + 4-byte CRC), so
-	// a count beyond that bound is corruption — reject it before it sizes an
-	// allocation.
-	if count > uint64(r.Len())/6 {
-		return "", nil, corruptf(path, "", "section count %d exceeds remaining %d bytes", count, r.Len())
-	}
-	secs := make([]Section, 0, count)
-	for i := uint64(0); i < count; i++ {
-		name, err := memo.ReadLengthPrefixed(r)
-		if err != nil {
-			return "", nil, corruptf(path, "", "section %d name: %v", i, err)
-		}
-		payload, err := memo.ReadLengthPrefixed(r)
-		if err != nil {
-			return "", nil, corruptf(path, string(name), "payload: %v", err)
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(r, crc[:]); err != nil {
-			return "", nil, corruptf(path, string(name), "checksum: %v", err)
-		}
-		if got, want := sectionCRC(string(name), payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-			return "", nil, corruptf(path, string(name), "checksum mismatch (computed %08x, stored %08x)", got, want)
-		}
-		secs = append(secs, Section{Name: string(name), Payload: payload})
-	}
-	if r.Len() != 0 {
-		return "", nil, corruptf(path, "", "%d trailing bytes", r.Len())
-	}
-	return string(jobKey), secs, nil
-}
-
-// Save atomically writes a checkpoint: encode, temp file in the target
-// directory, fsync, rename. The faultinject points let the chaos suite and
-// the production -faults flag model a write error, a failed fsync, and a
-// torn write (bytes corrupted between encode and disk — caught by the CRCs
-// at the next load).
+// Save atomically writes a checkpoint. The faultinject points let the chaos
+// suite and the production -faults flag model a write error, a failed
+// fsync, and a torn write (bytes corrupted between encode and disk — caught
+// by the CRCs at the next load).
 func Save(path, jobKey string, secs []Section) error {
 	data := Encode(jobKey, secs)
 	if err := faultinject.Hit(faultinject.PointCheckpointWrite); err != nil {
 		return fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
 	faultinject.Corrupt(faultinject.PointCheckpointWrite, data)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".kset-checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := faultinject.Hit(faultinject.PointCheckpointFsync); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: fsync %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+	return WriteFileAtomic(path, data, func() error {
+		if err := faultinject.Hit(faultinject.PointCheckpointFsync); err != nil {
+			return fmt.Errorf("fsync %s: %w", path, err)
+		}
+		return nil
+	})
 }
 
 // Load reads and validates a checkpoint file, returning its sections. A
@@ -216,7 +88,7 @@ func Load(path, wantJob string) ([]Section, error) {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
 	faultinject.Corrupt(faultinject.PointCheckpointLoad, data)
-	job, secs, err := Decode(path, data)
+	job, secs, err := DecodeSections(fileMagic, path, data)
 	if err != nil {
 		return nil, err
 	}

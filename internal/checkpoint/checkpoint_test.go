@@ -2,10 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"ksettop/internal/faultinject"
@@ -42,6 +42,29 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if got[i].Name != s.Name || !bytes.Equal(got[i].Payload, s.Payload) {
 			t.Fatalf("section %d: got %q/%x, want %q/%x", i, got[i].Name, got[i].Payload, s.Name, s.Payload)
 		}
+	}
+}
+
+// TestEncodeGolden pins the checkpoint bytes: the image below was written
+// by the checkpoint encoder before it moved onto the shared durable-file
+// codec, so existing resume files and the fuzz corpus stay valid.
+func TestEncodeGolden(t *testing.T) {
+	secs := []Section{
+		{Name: "solver.frontier#1", Payload: []byte{0, 1, 2, 0x7f, 0x80, 0xff}},
+		{Name: "homology.reduction#2", Payload: nil},
+		{Name: "dist.shard#3", Payload: []byte("payload")},
+	}
+	const golden = "6b736574636b707401176b736574626f756e64737c737461723a6e3d347c6b3d32" +
+		"0311736f6c7665722e66726f6e746965722331060001027f80ff0c801ddd" +
+		"14686f6d6f6c6f67792e726564756374696f6e233200b511b804" +
+		"0c646973742e73686172642333077061796c6f6164ef6dde7e"
+	img := Encode("ksetbounds|star:n=4|k=2", secs)
+	if got := hex.EncodeToString(img); got != golden {
+		t.Fatalf("checkpoint encoding changed:\n got %s\nwant %s", got, golden)
+	}
+	job, got, err := DecodeSections(fileMagic, "golden.ckpt", img)
+	if err != nil || job != "ksetbounds|star:n=4|k=2" || len(got) != len(secs) {
+		t.Fatalf("golden image does not decode: job %q, %d sections, %v", job, len(got), err)
 	}
 }
 
@@ -187,6 +210,7 @@ func TestLoadRotFault(t *testing.T) {
 	}
 }
 
+// assertNoTempLitter checks that dir holds nothing but run.ckpt.
 func assertNoTempLitter(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -194,7 +218,7 @@ func assertNoTempLitter(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".kset-checkpoint-") {
+		if e.Name() != "run.ckpt" {
 			t.Fatalf("temp file litter: %s", e.Name())
 		}
 	}
@@ -379,5 +403,50 @@ func TestRunnerRemove(t *testing.T) {
 	}
 	if err := r.Remove(); err != nil {
 		t.Fatalf("double remove must be clean: %v", err)
+	}
+}
+
+// OpenLog leaves exactly the kept bytes on disk: a torn tail is truncated
+// after the intact prefix, and a foreign or other-key file is reset to a
+// bare header.
+func TestOpenLogTruncatesTornTailAndResetsForeign(t *testing.T) {
+	magic, key := []byte("ksettest\x01"), "job"
+	var header, intact bytes.Buffer
+	appendHeader(&header, magic, key)
+	intact.Write(header.Bytes())
+	appendRecord(&intact, Section{Name: "0", Payload: []byte("first")})
+	var torn bytes.Buffer
+	appendRecord(&torn, Section{Name: "1", Payload: bytes.Repeat([]byte("z"), 64)})
+
+	var otherKey bytes.Buffer
+	appendHeader(&otherKey, magic, "other-job")
+	cases := []struct {
+		name     string
+		data     []byte
+		wantRecs int
+		wantFile []byte
+	}{
+		{"torn-tail", append(append([]byte(nil), intact.Bytes()...), torn.Bytes()[:torn.Len()-1]...), 1, intact.Bytes()},
+		{"foreign", []byte("not a log file at all"), 0, header.Bytes()},
+		{"other-key", otherKey.Bytes(), 0, header.Bytes()},
+		{"empty", nil, 0, header.Bytes()},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "test.log")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := OpenLog(path, magic, key, "checkpoint.test")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		l.Close()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != tc.wantRecs || !bytes.Equal(got, tc.wantFile) {
+			t.Fatalf("%s: %d records, file %x; want %d records, file %x", tc.name, len(recs), got, tc.wantRecs, tc.wantFile)
+		}
 	}
 }

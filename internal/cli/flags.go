@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 
+	"ksettop/internal/checkpoint"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
@@ -72,7 +73,7 @@ func LoadMemoSnapshot(path string) error {
 		return nil
 	}
 	if err := memo.LoadSnapshot(path); err != nil {
-		if errors.Is(err, memo.ErrCorruptSnapshot) {
+		if errors.Is(err, checkpoint.ErrCorrupt) {
 			fmt.Fprintf(os.Stderr, "warning: %v; starting cold\n", err)
 			return nil
 		}

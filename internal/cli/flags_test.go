@@ -84,7 +84,7 @@ func TestLoadMemoSnapshotCorruptStartsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate mid-file: the checksummed loader reports ErrCorruptSnapshot.
+	// Truncate mid-file: the checksummed loader reports checkpoint.ErrCorrupt.
 	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}

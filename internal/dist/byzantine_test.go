@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"ksettop/internal/memo"
+	"ksettop/internal/checkpoint"
 )
 
 // lieMode selects how a liarProxy mutates shard payloads.
@@ -239,7 +239,7 @@ func TestDistLiePointsArbiterOverturns(t *testing.T) {
 // Byzantine tier would be untested.
 func TestDistLiePayloadsWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, 41)
+	checkpoint.WriteUvarint(&buf, 41)
 	lied := lieCountOffByOne(buf.Bytes())
 	n, err := DecodeCount(lied)
 	if err != nil {

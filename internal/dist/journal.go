@@ -1,48 +1,34 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+	"strconv"
 
+	"ksettop/internal/checkpoint"
 	"ksettop/internal/faultinject"
-	"ksettop/internal/memo"
 )
 
-// The shard journal is the coordinator's crash-recovery log: an append-only
-// file of committed shard results, each record CRC-checksummed, extending
-// the internal/memo snapshot framing (varint length prefixes + IEEE CRC32).
-// A coordinator killed mid-sweep reopens the journal on restart, replays the
-// committed prefix, and resumes dispatching only the missing shards — the
-// merged output is byte-identical to an uninterrupted run because the merge
-// consumes results in shard-index order regardless of commit order.
+// The shard journal is the coordinator's crash-recovery log: a
+// checkpoint-codec log file of committed shard results, one CRC-checksummed
+// record per commit, named by shard index. A coordinator killed mid-sweep
+// reopens the journal on restart, replays the committed prefix, and resumes
+// dispatching only the missing shards — the merged output is byte-identical
+// to an uninterrupted run because the merge consumes results in shard-index
+// order regardless of commit order.
 //
 // Torn writes are the expected failure mode of a killed coordinator, so
 // loading is forgiving by construction: the committed prefix up to the first
 // damaged record is kept and the file is truncated back to the last good
 // byte, while a journal whose header names a DIFFERENT job (or a foreign
-// file) is reset — resuming someone else's sweep would corrupt results.
+// file, including an older journal version) is reset — resuming someone
+// else's sweep would corrupt results.
 
 // journalMagic identifies the journal format (trailing version byte).
-var journalMagic = []byte("ksetdistj\x01")
-
-// recordCRC is the integrity checksum of one journal record: IEEE CRC32
-// over the shard index (as a varint) followed by the payload.
-func recordCRC(shard uint64, payload []byte) uint32 {
-	var tmp [binary.MaxVarintLen64]byte
-	crc := crc32.NewIEEE()
-	crc.Write(tmp[:binary.PutUvarint(tmp[:], shard)])
-	crc.Write(payload)
-	return crc.Sum32()
-}
+var journalMagic = []byte("ksetdistj\x02")
 
 // Journal is an open shard journal positioned for appends.
 type Journal struct {
-	path string
-	f    *os.File
+	log *checkpoint.Log
 }
 
 // OpenJournal opens (or creates) the journal at path for the job identified
@@ -50,121 +36,33 @@ type Journal struct {
 // empty file starts a fresh journal; a journal for a different job or with
 // an unreadable header is reset to fresh (reported via resumed=false); a
 // journal with a torn or corrupt tail keeps its good prefix and truncates
-// the damage away. resumed reports whether any committed shards were
-// recovered.
+// the damage away. Later records for a shard replace earlier ones. resumed
+// reports whether any committed shards were recovered.
 func OpenJournal(path, jobKey string) (j *Journal, commits map[int][]byte, resumed bool, err error) {
-	commits = make(map[int][]byte)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, false, fmt.Errorf("dist: journal: %w", err)
-	}
-	faultinject.Corrupt(faultinject.PointDistJournal, data)
-
-	goodEnd, fresh := 0, true
-	if len(data) > 0 {
-		end, ok := parseJournal(data, jobKey, commits)
-		if ok {
-			goodEnd, fresh = end, false
-		} else {
-			// Foreign file or another job's sweep: reset. Never resume it.
-			commits = make(map[int][]byte)
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, recs, err := checkpoint.OpenLog(path, journalMagic, jobKey, faultinject.PointDistJournal)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("dist: journal: %w", err)
 	}
-	if fresh {
-		var buf bytes.Buffer
-		buf.Write(journalMagic)
-		memo.WriteUvarint(&buf, uint64(len(jobKey)))
-		buf.WriteString(jobKey)
-		if err := f.Truncate(0); err == nil {
-			_, err = f.WriteAt(buf.Bytes(), 0)
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("dist: journal: %w", err)
-		}
-		goodEnd = buf.Len()
-	} else if goodEnd < len(data) {
-		// Torn tail from the previous crash: drop it so appends stay framed.
-		if err := f.Truncate(int64(goodEnd)); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("dist: journal: %w", err)
+	commits = make(map[int][]byte, len(recs))
+	for _, rec := range recs {
+		if shard, err := strconv.Atoi(rec.Name); err == nil {
+			commits[shard] = rec.Payload
 		}
 	}
-	if _, err := f.Seek(int64(goodEnd), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, false, fmt.Errorf("dist: journal: %w", err)
-	}
-	return &Journal{path: path, f: f}, commits, len(commits) > 0, nil
+	return &Journal{log: log}, commits, len(commits) > 0, nil
 }
 
-// parseJournal validates the header against jobKey and reads records into
-// commits, returning the byte offset after the last intact record and
-// whether the header matched. A damaged record stops the scan (its offset is
-// the truncation point); a damaged header reports ok=false.
-func parseJournal(data []byte, jobKey string, commits map[int][]byte) (end int, ok bool) {
-	if !bytes.HasPrefix(data, journalMagic) {
-		return 0, false
-	}
-	r := bytes.NewReader(data[len(journalMagic):])
-	key, err := memo.ReadLengthPrefixed(r)
-	if err != nil || string(key) != jobKey {
-		return 0, false
-	}
-	total := len(data)
-	end = total - r.Len()
-	for r.Len() > 0 {
-		shard, err := binary.ReadUvarint(r)
-		if err != nil {
-			return end, true
-		}
-		payload, err := memo.ReadLengthPrefixed(r)
-		if err != nil {
-			return end, true
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(r, crc[:]); err != nil {
-			return end, true
-		}
-		if recordCRC(shard, payload) != binary.LittleEndian.Uint32(crc[:]) {
-			return end, true
-		}
-		commits[int(shard)] = payload
-		end = total - r.Len()
-	}
-	return end, true
-}
-
-// Append durably commits one shard result: a single buffered write followed
-// by fsync, so a record is either wholly present or (after a crash)
-// truncated away on the next open.
+// Append durably commits one shard result (one fsynced record).
 func (j *Journal) Append(shard int, payload []byte) error {
-	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, uint64(shard))
-	memo.WriteUvarint(&buf, uint64(len(payload)))
-	buf.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], recordCRC(uint64(shard), payload))
-	buf.Write(crc[:])
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("dist: journal append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("dist: journal sync: %w", err)
+	if err := j.log.Append(checkpoint.Section{Name: strconv.Itoa(shard), Payload: payload}); err != nil {
+		return fmt.Errorf("dist: journal: %w", err)
 	}
 	return nil
 }
 
 // Close closes the journal file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.log.Close() }
 
 // Remove deletes the journal from disk — called after a sweep completes and
 // its result has been handed to the caller; the next sweep starts fresh.
-func (j *Journal) Remove() error {
-	j.f.Close()
-	return os.Remove(j.path)
-}
+func (j *Journal) Remove() error { return j.log.Remove() }

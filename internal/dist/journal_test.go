@@ -2,7 +2,7 @@ package dist
 
 import (
 	"bytes"
-	"io"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -87,10 +87,11 @@ func TestJournalCorruptRecordKeepsPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	j, _, _ := openForTest(t, path, "job-A")
 	j.Append(0, []byte("first"))
-	off, err := j.f.Seek(0, io.SeekCurrent)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	off := fi.Size()
 	j.Append(1, []byte("second"))
 	j.Close()
 
@@ -149,5 +150,33 @@ func TestJournalRemove(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("journal still on disk: %v", err)
+	}
+}
+
+// TestJournalV1Resets pins the upgrade path: a version-1 journal (written
+// by an older build with its own record framing) is a foreign file, so it
+// is reset — resumed=false, nothing recovered — and the fresh journal works.
+func TestJournalV1Resets(t *testing.T) {
+	// job-A with shard 0 = "first" and shard 2 = "third", version-1 framing.
+	v1, err := hex.DecodeString("6b736574646973746a01056a6f622d4100056669727374e9b891e502057468697264d1d71a1e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, commits, resumed := openForTest(t, path, "job-A")
+	if resumed || len(commits) != 0 {
+		t.Fatalf("v1 journal resumed: resumed=%v commits=%v", resumed, commits)
+	}
+	if err := j.Append(2, []byte("third")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, commits, resumed := openForTest(t, path, "job-A")
+	defer j2.Close()
+	if !resumed || len(commits) != 1 || !bytes.Equal(commits[2], []byte("third")) {
+		t.Fatalf("after reset: resumed=%v commits=%v", resumed, commits)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"ksettop/internal/bits"
+	"ksettop/internal/checkpoint"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/par"
@@ -138,7 +139,7 @@ func runCount(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, 
 		return nil, err
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, count)
+	checkpoint.WriteUvarint(&buf, count)
 	return buf.Bytes(), nil
 }
 
@@ -152,7 +153,7 @@ func mergeCount(parts [][]byte) ([]byte, error) {
 		total += n
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, total)
+	checkpoint.WriteUvarint(&buf, total)
 	return buf.Bytes(), nil
 }
 
@@ -176,10 +177,10 @@ func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, e
 		positions = positions[:0]
 		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
 		sort.Ints(positions)
-		memo.WriteUvarint(&buf, uint64(len(positions)))
+		checkpoint.WriteUvarint(&buf, uint64(len(positions)))
 		prev := 0
 		for _, p := range positions {
-			memo.WriteUvarint(&buf, uint64(p-prev))
+			checkpoint.WriteUvarint(&buf, uint64(p-prev))
 			prev = p
 		}
 		return true

@@ -17,7 +17,6 @@ import (
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
 	"ksettop/internal/faultinject"
-	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/obs"
 )
@@ -364,7 +363,7 @@ func lieCountOffByOne(payload []byte) []byte {
 		return append(append([]byte(nil), payload...), 0)
 	}
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, n+1)
+	checkpoint.WriteUvarint(&buf, n+1)
 	return buf.Bytes()
 }
 

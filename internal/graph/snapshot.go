@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"ksettop/internal/bits"
+	"ksettop/internal/checkpoint"
 	"ksettop/internal/memo"
 )
 
@@ -23,11 +24,11 @@ func init() {
 func exportSymClosures() ([]byte, error) {
 	keys, vals := symCache.SnapshotEntries()
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, uint64(len(keys)))
+	checkpoint.WriteUvarint(&buf, uint64(len(keys)))
 	for i, key := range keys {
-		memo.WriteUvarint(&buf, uint64(len(key)))
+		checkpoint.WriteUvarint(&buf, uint64(len(key)))
 		buf.WriteString(key)
-		memo.WriteUvarint(&buf, uint64(len(vals[i])))
+		checkpoint.WriteUvarint(&buf, uint64(len(vals[i])))
 		for _, g := range vals[i] {
 			encodeDigraph(&buf, g)
 		}
@@ -42,7 +43,7 @@ func restoreSymClosures(payload []byte) error {
 		return fmt.Errorf("graph: corrupt closure snapshot: %w", err)
 	}
 	for i := uint64(0); i < count; i++ {
-		keyBytes, err := memo.ReadLengthPrefixed(r)
+		keyBytes, err := checkpoint.ReadLengthPrefixed(r)
 		if err != nil {
 			return fmt.Errorf("graph: corrupt closure snapshot: %w", err)
 		}
@@ -69,9 +70,9 @@ func restoreSymClosures(payload []byte) error {
 }
 
 func encodeDigraph(buf *bytes.Buffer, g Digraph) {
-	memo.WriteUvarint(buf, uint64(g.n))
+	checkpoint.WriteUvarint(buf, uint64(g.n))
 	for _, row := range g.out {
-		memo.WriteUvarint(buf, uint64(row))
+		checkpoint.WriteUvarint(buf, uint64(row))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"io"
 	"sync"
 
-	"ksettop/internal/memo"
+	"ksettop/internal/checkpoint"
 )
 
 // This file is the durability layer of the Betti-number reduction. Progress
@@ -102,18 +102,18 @@ func (p *reduceProgress) encode() ([]byte, error) {
 	defer p.mu.Unlock()
 	var buf bytes.Buffer
 	buf.WriteByte(homologyCkptVersion)
-	memo.WriteUvarint(&buf, uint64(p.maxDim))
+	checkpoint.WriteUvarint(&buf, uint64(p.maxDim))
 	if p.sparse {
 		buf.WriteByte(1)
 	} else {
 		buf.WriteByte(0)
 	}
-	memo.WriteUvarint(&buf, uint64(p.nextQ))
-	memo.WriteUvarint(&buf, uint64(len(p.rank)))
+	checkpoint.WriteUvarint(&buf, uint64(p.nextQ))
+	checkpoint.WriteUvarint(&buf, uint64(len(p.rank)))
 	for _, r := range p.rank {
-		memo.WriteUvarint(&buf, uint64(r))
+		checkpoint.WriteUvarint(&buf, uint64(r))
 	}
-	memo.WriteUvarint(&buf, uint64(len(p.cleared)))
+	checkpoint.WriteUvarint(&buf, uint64(len(p.cleared)))
 	packed := make([]byte, (len(p.cleared)+7)/8)
 	for i, c := range p.cleared {
 		if c {

@@ -2,11 +2,13 @@ package memo
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"ksettop/internal/checkpoint"
 	"ksettop/internal/faultinject"
 )
 
@@ -167,11 +169,11 @@ func TestSnapshotBitFlipDetected(t *testing.T) {
 			}
 			continue
 		}
-		if errors.Is(err, ErrCorruptSnapshot) {
+		if errors.Is(err, checkpoint.ErrCorrupt) {
 			rejected++
-			var ce *CorruptSnapshotError
+			var ce *checkpoint.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("bit %d: err %v is not a *CorruptSnapshotError", bit, err)
+				t.Fatalf("bit %d: err %v is not a *checkpoint.CorruptError", bit, err)
 			}
 		}
 		if n := cache.Len(); n != 0 {
@@ -201,8 +203,8 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache.Clear()
-		if err := LoadSnapshot(path); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("cut at %d: err = %v, want ErrCorruptSnapshot", cut, err)
+		if err := LoadSnapshot(path); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("cut at %d: err = %v, want checkpoint.ErrCorrupt", cut, err)
 		}
 		if n := cache.Len(); n != 0 {
 			t.Fatalf("cut at %d: truncated load half-populated the cache (%d entries)", cut, n)
@@ -210,29 +212,63 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillLoads pins backward compatibility: a version-1 file
-// (no checksums) still restores.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	cache := registerStringCache("v1.section")
-	var buf bytes.Buffer
-	buf.Write(snapshotMagicV1)
-	WriteUvarint(&buf, 1)
-	name := "v1.section"
-	payload := []byte("\x01k\x01v") // key "k" → value "v" in the test codec
-	WriteUvarint(&buf, uint64(len(name)))
-	buf.WriteString(name)
-	WriteUvarint(&buf, uint64(len(payload)))
-	buf.Write(payload)
-	path := filepath.Join(t.TempDir(), "snap-v1.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+// TestSnapshotOlderVersionsStartCold pins the upgrade path: v1 (no
+// checksums) and v2 (memo's own framing) snapshots are foreign to the
+// shared codec, so they fail as corrupt — the callers' warn-and-start-cold
+// path — and never touch the caches. The v2 image is a file an older build
+// wrote for a cache holding k → v.
+func TestSnapshotOlderVersionsStartCold(t *testing.T) {
+	cache := registerStringCache("legacy.section")
+	v2, err := hex.DecodeString("6b7365746d656d6f02010e6c65676163792e73656374696f6e04016b0176a0f8f598")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadSnapshot(path); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	v1 := append([]byte("ksetmemo\x01"), v2[len("ksetmemo\x02"):len(v2)-4]...) // same section, no CRC
+	for name, image := range map[string][]byte{"v1": v1, "v2": v2} {
+		path := filepath.Join(t.TempDir(), "snap-"+name+".bin")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cache.Clear()
+		cache.Put("live", "entry")
+		if err := LoadSnapshot(path); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("%s snapshot: err = %v, want checkpoint.ErrCorrupt", name, err)
+		}
+		if _, ok := cache.Get("k"); ok || cache.Len() != 1 {
+			t.Fatalf("%s snapshot touched the cache (%d entries)", name, cache.Len())
+		}
 	}
-	if got, ok := cache.Get("k"); !ok || got != "v" {
-		t.Errorf("restored k = %q (ok=%v), want v", got, ok)
+}
+
+// TestSnapshotOversizedCountIsCorrupt is the regression test for a section
+// count larger than the file: it once sized an allocation before any check
+// (makeslice: cap out of range). It must now be plain corruption.
+func TestSnapshotOversizedCountIsCorrupt(t *testing.T) {
+	cache := registerStringCache("oversized.section")
+	for _, image := range oversizedCountImages() {
+		path := filepath.Join(t.TempDir(), "snap.bin")
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadSnapshot(path); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("image %q: err = %v, want checkpoint.ErrCorrupt", image, err)
+		}
+		if n := cache.Len(); n != 0 {
+			t.Fatalf("image %q: cache has %d entries", image, n)
+		}
 	}
+}
+
+// oversizedCountImages returns a v2 and a current snapshot image whose
+// section count is 1<<62 with no bytes behind it.
+func oversizedCountImages() [][]byte {
+	var v2, v3 bytes.Buffer
+	v2.WriteString("ksetmemo\x02")
+	checkpoint.WriteUvarint(&v2, 1<<62)
+	v3.Write(snapshotMagic)
+	checkpoint.WriteUvarint(&v3, 0) // empty key
+	checkpoint.WriteUvarint(&v3, 1<<62)
+	return [][]byte{v2.Bytes(), v3.Bytes()}
 }
 
 // TestSnapshotFaultInjectedCorruption drives the memo.snapshot injection

@@ -7,7 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 
-	"ksettop/internal/memo"
+	"ksettop/internal/checkpoint"
 )
 
 // This file is the durability layer of the parallel engine: it serializes
@@ -92,12 +92,12 @@ type solverCkptState struct {
 // structures, rebuilt clause-by-clause on restore.
 func encodeSharedStore(ng *nogoodStore) []byte {
 	var buf bytes.Buffer
-	memo.WriteUvarint(&buf, uint64(ng.count()))
+	checkpoint.WriteUvarint(&buf, uint64(ng.count()))
 	for c := int32(0); c < int32(ng.count()); c++ {
 		keys := ng.clause(c)
-		memo.WriteUvarint(&buf, uint64(len(keys)))
+		checkpoint.WriteUvarint(&buf, uint64(len(keys)))
 		for _, key := range keys {
-			memo.WriteUvarint(&buf, uint64(key))
+			checkpoint.WriteUvarint(&buf, uint64(key))
 		}
 	}
 	return buf.Bytes()
@@ -147,8 +147,8 @@ func decodeSharedStore(r *bytes.Reader, numViews, numValues int) (*nogoodStore, 
 func (pr *parallelRun) encodeCheckpoint(probeNodes, prefixNodes int, sharedBytes []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(solverCkptVersion)
-	memo.WriteUvarint(&buf, uint64(probeNodes))
-	memo.WriteUvarint(&buf, uint64(prefixNodes))
+	checkpoint.WriteUvarint(&buf, uint64(probeNodes))
+	checkpoint.WriteUvarint(&buf, uint64(prefixNodes))
 	buf.Write(sharedBytes)
 
 	pr.mu.Lock()
@@ -159,28 +159,28 @@ func (pr *parallelRun) encodeCheckpoint(probeNodes, prefixNodes int, sharedBytes
 			durable++
 		}
 	}
-	memo.WriteUvarint(&buf, uint64(durable))
+	checkpoint.WriteUvarint(&buf, uint64(durable))
 	for _, r := range pr.records {
 		if r.status == taskCancelled {
 			continue
 		}
-		memo.WriteUvarint(&buf, uint64(len(r.path)))
+		checkpoint.WriteUvarint(&buf, uint64(len(r.path)))
 		buf.Write(r.path)
 		buf.WriteByte(byte(r.status))
-		memo.WriteUvarint(&buf, uint64(r.nodes))
-		memo.WriteUvarint(&buf, uint64(r.learned))
-		memo.WriteUvarint(&buf, uint64(len(r.decided)))
+		checkpoint.WriteUvarint(&buf, uint64(r.nodes))
+		checkpoint.WriteUvarint(&buf, uint64(r.learned))
+		checkpoint.WriteUvarint(&buf, uint64(len(r.decided)))
 		for _, v := range r.decided {
-			memo.WriteUvarint(&buf, uint64(v+1)) // NoValue (-1) -> 0
+			checkpoint.WriteUvarint(&buf, uint64(v+1)) // NoValue (-1) -> 0
 		}
 	}
-	memo.WriteUvarint(&buf, uint64(len(pr.frontier)))
+	checkpoint.WriteUvarint(&buf, uint64(len(pr.frontier)))
 	for _, task := range pr.frontierSorted() {
-		memo.WriteUvarint(&buf, uint64(len(task.path)))
+		checkpoint.WriteUvarint(&buf, uint64(len(task.path)))
 		buf.Write(task.path)
-		memo.WriteUvarint(&buf, uint64(len(task.decisions)))
+		checkpoint.WriteUvarint(&buf, uint64(len(task.decisions)))
 		for _, d := range task.decisions {
-			memo.WriteUvarint(&buf, uint64(d))
+			checkpoint.WriteUvarint(&buf, uint64(d))
 		}
 	}
 	return buf.Bytes()

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
 	"ksettop/internal/core"
 	"ksettop/internal/dist"
@@ -660,7 +661,7 @@ func (s *Server) WarmBoot() {
 		return
 	}
 	if err := memo.LoadSnapshot(s.cfg.SnapshotPath); err != nil {
-		if errors.Is(err, memo.ErrCorruptSnapshot) {
+		if errors.Is(err, checkpoint.ErrCorrupt) {
 			s.log.Warnf("serve: %v; starting cold", err)
 			return
 		}

@@ -1,7 +1,7 @@
 GO ?= go
 # Benchmark snapshot index: bump per PR so the perf trajectory accumulates
 # (BENCH_1.json, BENCH_2.json, …).
-BENCH_N ?= 15
+BENCH_N ?= 16
 
 .PHONY: all build test vet race bench benchjson benchcheck chaos experiments perfbench-check clean
 

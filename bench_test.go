@@ -172,7 +172,7 @@ func BenchmarkEnumerateClosure(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		e.RangeMasks(0, e.Size(), func(bits.Words) bool {
+		e.RangeMasks(0, e.Size(), func(int64, bits.Words) bool {
 			count++
 			return true
 		})
@@ -627,6 +627,28 @@ func BenchmarkDistSweepCount(b *testing.B) {
 		}
 		if !bytes.Equal(got, want) {
 			b.Fatal("distributed sweep differs from sequential reference")
+		}
+	}
+}
+
+// BenchmarkDistEnumSequential mirrors the ksetbench DistEnumSequential row:
+// dist.RunSequential of the enum job on cycle:n=5 — the closure kernel's
+// ownership guards plus the enum encoder, with no transport.
+func BenchmarkDistEnumSequential(b *testing.B) {
+	job := dist.Job{Op: dist.OpEnum, Model: "cycle:n=5"}
+	want, err := dist.RunSequential(context.Background(), job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := dist.RunSequential(context.Background(), job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			b.Fatal("sequential enum sweep is not deterministic")
 		}
 	}
 }

@@ -731,7 +731,7 @@ func benches() []bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				count := 0
-				e.RangeMasks(0, e.Size(), func(bits.Words) bool {
+				e.RangeMasks(0, e.Size(), func(int64, bits.Words) bool {
 					count++
 					return true
 				})
@@ -814,6 +814,28 @@ func benches() []bench {
 				}
 				if !bytes.Equal(got, want) {
 					b.Fatal("distributed sweep differs from sequential reference")
+				}
+			}
+		}},
+		{"DistEnumSequential", func(b *testing.B) {
+			// dist.RunSequential of the enum job on cycle:n=5 (24
+			// generator segments of 2^15 ranks, 5.3 MB payload): the
+			// closure kernel with its per-segment ownership guards plus
+			// the enum encoder, in one shard and with no transport.
+			job := dist.Job{Op: dist.OpEnum, Model: "cycle:n=5"}
+			want, err := dist.RunSequential(context.Background(), job)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := dist.RunSequential(context.Background(), job)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					b.Fatal("sequential enum sweep is not deterministic")
 				}
 			}
 		}},

@@ -23,8 +23,9 @@
 // stops answering heartbeats and its leases expire. The -faults flag arms the
 // same deterministic fault registry the chaos suite uses — crash, delay and
 // corrupt-response schedules replay verbatim against a production worker.
-// Byzantine drills use the dist.lie.* points (dist.lie.count,
-// dist.lie.enum, dist.lie.replay): each corrupts the shard payload BEFORE
+// Byzantine drills use the dist.lie.* points (dist.lie.count on count
+// grants, dist.lie.enum on enum grants, dist.lie.replay on every grant):
+// each corrupts the shard payload BEFORE
 // the CRC is computed, turning the worker into a liar that checksums its own
 // wrong bytes — only the coordinator's quorum cross-validation
 // (-verify-fraction / -quarantine-threshold on the coordinator) catches it.

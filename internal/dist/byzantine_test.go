@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ksettop/internal/checkpoint"
+	"ksettop/internal/faultinject"
 )
 
 // lieMode selects how a liarProxy mutates shard payloads.
@@ -231,6 +232,49 @@ func TestDistLiePointsArbiterOverturns(t *testing.T) {
 				t.Fatalf("%s: want the lone worker quarantined and the sweep degraded; stats %+v", tc.name, st)
 			}
 		})
+	}
+}
+
+// Each lie point corrupts exactly the op it names: an armed dist.lie.count
+// rule is never hit by an enum grant and dist.lie.enum never by a count
+// grant, so those payloads reach the coordinator honest; the named op's
+// grant is hit and lies.
+func TestDistLiePointsAreOpSpecific(t *testing.T) {
+	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
+	url := "http://" + workers[0]
+	size, err := testModel(t, "star:n=3").EnumerationSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		point, liar, honest string
+	}{
+		{faultinject.PointDistLieCount, OpCount, OpEnum},
+		{faultinject.PointDistLieEnum, OpEnum, OpCount},
+	} {
+		want := map[string][]byte{}
+		for _, opName := range []string{tc.liar, tc.honest} {
+			payload, err := RunSequential(context.Background(), Job{Op: opName, Model: "star:n=3"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[opName] = payload
+		}
+		armFaults(t, 42, "error:"+tc.point+"@1+1")
+		req := ExecRequest{Op: tc.honest, Model: "star:n=3", From: 0, To: size}
+		got, status := execShard(t, url, req)
+		if status != http.StatusOK || !bytes.Equal(got, want[tc.honest]) {
+			t.Fatalf("%s armed: %s grant status %d, payload changed=%v", tc.point, tc.honest, status, !bytes.Equal(got, want[tc.honest]))
+		}
+		if hits := faultinject.Hits(tc.point); hits != 0 {
+			t.Fatalf("%s hit %d times by a %s grant", tc.point, hits, tc.honest)
+		}
+		req.Op = tc.liar
+		got, status = execShard(t, url, req)
+		if status != http.StatusOK || bytes.Equal(got, want[tc.liar]) {
+			t.Fatalf("%s armed: %s grant status %d, payload changed=%v; want a lie", tc.point, tc.liar, status, !bytes.Equal(got, want[tc.liar]))
+		}
+		disarmFaults(t)
 	}
 }
 

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"ksettop/internal/bits"
-	"ksettop/internal/checkpoint"
 	"ksettop/internal/memo"
 	"ksettop/internal/model"
 	"ksettop/internal/par"
@@ -95,14 +93,21 @@ func registeredOps() []string {
 }
 
 func init() {
-	RegisterOp(OpCount, Op{Run: runCount, Resume: runCountDurable, Merge: mergeCount})
-	RegisterOp(OpEnum, Op{Run: runEnum, Resume: runEnumDurable, Merge: mergeEnum})
+	RegisterOp(OpCount, Op{Run: cold(runCount), Resume: runCount, Merge: mergeCount})
+	RegisterOp(OpEnum, Op{Run: cold(runEnum), Resume: runEnum, Merge: mergeEnum})
+}
+
+// cold adapts a durable op body to Op.Run: an execution with no shard state.
+func cold(run func(context.Context, *model.ClosedAbove, int64, int64, *ShardState) ([]byte, error)) func(context.Context, *model.ClosedAbove, int64, int64) ([]byte, error) {
+	return func(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, error) {
+		return run(ctx, m, lo, hi, nil)
+	}
 }
 
 // rangeMasksCtx drives e.RangeMasks over [lo, hi) with cooperative
-// cancellation: the yield wrapper polls every ~1k ranks, so a cancelled
+// cancellation: the yield wrapper polls every ~1k elements, so a cancelled
 // lease or tripped budget stops a worker well within one shard.
-func rangeMasksCtx(ctx context.Context, e *model.Enumeration, lo, hi int64, yield func(mask bits.Words) bool) error {
+func rangeMasksCtx(ctx context.Context, e *model.Enumeration, lo, hi int64, yield func(rank int64, mask bits.Words) bool) error {
 	if ctx != nil && ctx.Err() != nil {
 		return context.Cause(ctx)
 	}
@@ -112,13 +117,13 @@ func rangeMasksCtx(ctx context.Context, e *model.Enumeration, lo, hi int64, yiel
 	const pollMask = 1023
 	seen := int64(0)
 	cancelled := false
-	e.RangeMasks(lo, hi, func(mask bits.Words) bool {
+	e.RangeMasks(lo, hi, func(rank int64, mask bits.Words) bool {
 		if seen&pollMask == 0 && ctl.Stopped() {
 			cancelled = true
 			return false
 		}
 		seen++
-		return yield(mask)
+		return yield(rank, mask)
 	})
 	if cancelled || ctl.Stopped() {
 		return fmt.Errorf("dist: shard aborted: %w", context.Cause(ctx))
@@ -126,21 +131,45 @@ func rangeMasksCtx(ctx context.Context, e *model.Enumeration, lo, hi int64, yiel
 	return nil
 }
 
-func runCount(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, error) {
+// resumeFrom returns the rank a durable execution of [lo, hi) starts at and
+// the accumulator recorded for the ranks below it: lo and nil unless st
+// holds progress past lo. A recorded pos == hi (the shard's last element was
+// a flush point) resumes over the empty window [hi, hi): the accumulator is
+// already the whole shard.
+func resumeFrom(st *ShardState, lo, hi int64) (int64, []byte) {
+	if st != nil {
+		if pos, acc := st.Snapshot(); pos > lo && pos <= hi {
+			return pos, acc
+		}
+	}
+	return lo, nil
+}
+
+// runCount counts the closure elements of [lo, hi). With a non-nil st it
+// resumes from the recorded progress and records its own every
+// shardFlushMask+1 elements. Accumulator encoding: 8-byte LE running count.
+func runCount(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
 	e, err := m.Enumeration()
 	if err != nil {
 		return nil, err
 	}
+	start, acc := resumeFrom(st, lo, hi)
 	var count uint64
-	if err := rangeMasksCtx(ctx, e, lo, hi, func(bits.Words) bool {
+	if len(acc) == 8 {
+		count = binary.LittleEndian.Uint64(acc)
+	} else {
+		start = lo
+	}
+	if err := rangeMasksCtx(ctx, e, start, hi, func(rank int64, _ bits.Words) bool {
 		count++
+		if st != nil && count&shardFlushMask == 0 {
+			st.Set(rank+1, binary.LittleEndian.AppendUint64(nil, count))
+		}
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	checkpoint.WriteUvarint(&buf, count)
-	return buf.Bytes(), nil
+	return binary.AppendUvarint(nil, count), nil
 }
 
 func mergeCount(parts [][]byte) ([]byte, error) {
@@ -152,9 +181,7 @@ func mergeCount(parts [][]byte) ([]byte, error) {
 		}
 		total += n
 	}
-	var buf bytes.Buffer
-	checkpoint.WriteUvarint(&buf, total)
-	return buf.Bytes(), nil
+	return binary.AppendUvarint(nil, total), nil
 }
 
 // DecodeCount unpacks a merged OpCount result.
@@ -166,36 +193,44 @@ func DecodeCount(payload []byte) (int64, error) {
 	return int64(n), nil
 }
 
-func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64) ([]byte, error) {
+// runEnum serializes the closure elements of [lo, hi) (see OpEnum). With a
+// non-nil st it resumes from the recorded progress and records its own
+// every shardFlushMask+1 elements. Accumulator encoding: the payload bytes
+// emitted for the ranks below the recorded position — OpEnum payloads are
+// per-element concatenations, so that prefix is itself a partial payload.
+func runEnum(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
 	e, err := m.Enumeration()
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	var positions []int
-	if err := rangeMasksCtx(ctx, e, lo, hi, func(mask bits.Words) bool {
-		positions = positions[:0]
-		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
-		sort.Ints(positions)
-		checkpoint.WriteUvarint(&buf, uint64(len(positions)))
+	start, acc := resumeFrom(st, lo, hi)
+	buf := acc
+	seen := 0
+	if err := rangeMasksCtx(ctx, e, start, hi, func(rank int64, mask bits.Words) bool {
+		// Double ahead of need: append alone grows a large buffer by
+		// 1.25×, copying a multi-megabyte payload several times over.
+		if cap(buf)-len(buf) < 1024 {
+			buf = slices.Grow(buf, len(buf)+4096)
+		}
+		buf = binary.AppendUvarint(buf, uint64(mask.OnesCount()))
 		prev := 0
-		for _, p := range positions {
-			checkpoint.WriteUvarint(&buf, uint64(p-prev))
+		mask.ForEachBit(func(p int) {
+			buf = binary.AppendUvarint(buf, uint64(p-prev))
 			prev = p
+		})
+		seen++
+		if st != nil && seen&shardFlushMask == 0 {
+			st.Set(rank+1, buf)
 		}
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 func mergeEnum(parts [][]byte) ([]byte, error) {
-	var buf bytes.Buffer
-	for _, p := range parts {
-		buf.Write(p)
-	}
-	return buf.Bytes(), nil
+	return slices.Concat(parts...), nil
 }
 
 // jobKey is the canonical identity of one sweep: op, canonical generator

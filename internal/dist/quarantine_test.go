@@ -177,11 +177,9 @@ func TestDistQuarantineProbeLiesExtendReadmitsWhenHonest(t *testing.T) {
 
 // The half-open probe must exercise every op, not just one: a worker that
 // lies only about enum payloads answers a count job honestly, so an
-// op-blind count probe re-admits it. Arming dist.lie.enum on even hits
-// makes the lie a byte rotation, which leaves a one-byte count payload
-// intact. The battery runs its jobs in op-name order, so the count job is
-// hit 1 (honest) and the enum job hit 2 (rotated): the probe must fail and
-// the worker must stay quarantined.
+// op-blind count probe re-admits it. dist.lie.enum is hit by enum grants
+// only, so the battery's count job runs clean and its enum job is hit 1
+// (truncated): the probe must fail and the worker must stay quarantined.
 func TestDistQuarantineProbeCatchesEnumLiar(t *testing.T) {
 	workers := startWorkers(t, 1, WorkerConfig{Logf: func(string, ...any) {}})
 	c := NewCoordinator(testCoordConfig(workers))
@@ -190,7 +188,7 @@ func TestDistQuarantineProbeCatchesEnumLiar(t *testing.T) {
 	c.health[workers[0]].since = time.Now().Add(-time.Minute)
 	c.mu.Unlock()
 
-	armFaults(t, 42, "error:dist.lie.enum@2+2")
+	armFaults(t, 42, "error:dist.lie.enum@1+1")
 	c.maybeProbeQuarantined(context.Background())
 	waitFor(t, 5*time.Second, "probe to finish", func() bool {
 		c.mu.Lock()
@@ -206,8 +204,8 @@ func TestDistQuarantineProbeCatchesEnumLiar(t *testing.T) {
 	if c.Stats().QuarantineReadmissions != 0 {
 		t.Fatal("enum liar was re-admitted")
 	}
-	if hits := faultinject.Hits(faultinject.PointDistLieEnum); hits != 2 {
-		t.Fatalf("probe battery ran %d jobs on the worker, want one per op (2)", hits)
+	if hits := faultinject.Hits(faultinject.PointDistLieEnum); hits != 1 {
+		t.Fatalf("dist.lie.enum hit %d times, want once: by the battery's one enum job", hits)
 	}
 }
 

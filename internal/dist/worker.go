@@ -168,7 +168,8 @@ func (w *Worker) Stats() WorkerStats {
 	}
 }
 
-// ExecRequest is one shard grant: op + model + rank range + lease.
+// ExecRequest is one shard grant: op + model + rank range [From, To) +
+// lease. The worker rejects a negative From or a To below From.
 type ExecRequest struct {
 	Op      string `json:"op"`
 	Model   string `json:"model"`
@@ -270,6 +271,10 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		writeWorkerError(rw, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown op %q", req.Op))
 		return
 	}
+	if req.From < 0 || req.To < req.From {
+		writeWorkerError(rw, http.StatusBadRequest, "bad_request", fmt.Sprintf("rank range [%d, %d) is reversed or negative", req.From, req.To))
+		return
+	}
 	m, err := cli.ParseModel(req.Model)
 	if err != nil {
 		writeWorkerError(rw, http.StatusBadRequest, "bad_request", err.Error())
@@ -311,7 +316,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	// Byzantine lies are applied BEFORE checksumming: the response stays
 	// well-formed and CRC-consistent, so only the coordinator's quorum
 	// cross-validation can catch it.
-	payload = w.applyLies(payload)
+	payload = w.applyLies(req.Op, payload)
 	resp := ExecResponse{CRC: crc32.ChecksumIEEE(payload), Ranks: req.To - req.From}
 	// Transport corruption is injected AFTER checksumming: the bytes no
 	// longer match their own checksum, which is exactly what the
@@ -330,18 +335,23 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 // into a liar (the dist.lie.* points): each mutation keeps the payload
 // well-formed — a plausible count, a shorter or reordered enum, a stale
 // replay — and runs before the response CRC is computed, so the checksum
-// vouches for the lie. With nothing armed this is one atomic load.
-func (w *Worker) applyLies(payload []byte) []byte {
+// vouches for the lie. dist.lie.count is hit only by count grants and
+// dist.lie.enum only by enum grants, so a rule corrupts exactly the op it
+// names; dist.lie.replay is hit by every grant. With nothing armed this is
+// one atomic load.
+func (w *Worker) applyLies(op string, payload []byte) []byte {
 	if !faultinject.Enabled() {
 		return payload
 	}
-	if faultinject.Hit(faultinject.PointDistLieCount) != nil {
+	if op == OpCount && faultinject.Hit(faultinject.PointDistLieCount) != nil {
 		payload = lieCountOffByOne(payload)
 	}
-	if err := faultinject.Hit(faultinject.PointDistLieEnum); err != nil {
-		var ie *faultinject.InjectedError
-		odd := errors.As(err, &ie) && ie.Nth%2 == 1
-		payload = lieEnumBytes(payload, odd)
+	if op == OpEnum {
+		if err := faultinject.Hit(faultinject.PointDistLieEnum); err != nil {
+			var ie *faultinject.InjectedError
+			odd := errors.As(err, &ie) && ie.Nth%2 == 1
+			payload = lieEnumBytes(payload, odd)
+		}
 	}
 	if faultinject.Hit(faultinject.PointDistLieReplay) != nil {
 		if prev := w.lastPayload.Load(); prev != nil && len(*prev) > 0 {

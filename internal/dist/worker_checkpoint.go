@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -10,9 +9,7 @@ import (
 	"sort"
 	"sync"
 
-	"ksettop/internal/bits"
 	"ksettop/internal/checkpoint"
-	"ksettop/internal/model"
 )
 
 // This file is the worker-side durability layer: a worker with a checkpoint
@@ -31,7 +28,10 @@ const kindDistShards = "dist.shards"
 const distShardsVersion = 1
 
 // shardFlushMask paces in-run progress updates: state is snapshotted into
-// the table every 4096 ranks, bounding a crash's recompute cost per shard.
+// the table every 4096 emitted elements, bounding a crash's recompute cost
+// per shard. The recorded position is the rank after the last element
+// folded into the accumulator: the scan skips the ranks a lower generator
+// owns, so a count of elements cannot stand in for a rank.
 const shardFlushMask = 4095
 
 // distShardsFP is the section fingerprint. The table is workload-agnostic —
@@ -204,77 +204,4 @@ func (t *shardTable) restore(payload []byte) error {
 		t.states[e.key] = &ShardState{pos: e.pos, acc: e.acc}
 	}
 	return nil
-}
-
-// runCountDurable is runCount resuming from and writing through st (nil st:
-// identical to runCount). Accumulator encoding: 8-byte LE running count.
-func runCountDurable(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
-	e, err := m.Enumeration()
-	if err != nil {
-		return nil, err
-	}
-	start := lo
-	var count uint64
-	if st != nil {
-		if pos, acc := st.Snapshot(); pos > lo && pos <= hi && len(acc) == 8 {
-			start = pos
-			count = binary.LittleEndian.Uint64(acc)
-		}
-	}
-	seen := int64(0)
-	if err := rangeMasksCtx(ctx, e, start, hi, func(mask bits.Words) bool {
-		count++
-		seen++
-		if st != nil && seen&shardFlushMask == 0 {
-			var acc [8]byte
-			binary.LittleEndian.PutUint64(acc[:], count)
-			st.Set(start+seen, acc[:])
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	checkpoint.WriteUvarint(&buf, count)
-	return buf.Bytes(), nil
-}
-
-// runEnumDurable is runEnum resuming from and writing through st (nil st:
-// identical to runEnum). Accumulator encoding: the payload bytes emitted
-// for ranks below pos — OpEnum payloads are per-rank concatenations, so the
-// prefix is itself the partial payload.
-func runEnumDurable(ctx context.Context, m *model.ClosedAbove, lo, hi int64, st *ShardState) ([]byte, error) {
-	e, err := m.Enumeration()
-	if err != nil {
-		return nil, err
-	}
-	start := lo
-	var buf bytes.Buffer
-	if st != nil {
-		if pos, acc := st.Snapshot(); pos > lo && pos <= hi {
-			start = pos
-			buf.Write(acc)
-		}
-	}
-	var positions []int
-	seen := int64(0)
-	if err := rangeMasksCtx(ctx, e, start, hi, func(mask bits.Words) bool {
-		positions = positions[:0]
-		mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
-		sort.Ints(positions)
-		checkpoint.WriteUvarint(&buf, uint64(len(positions)))
-		prev := 0
-		for _, p := range positions {
-			checkpoint.WriteUvarint(&buf, uint64(p-prev))
-			prev = p
-		}
-		seen++
-		if st != nil && seen&shardFlushMask == 0 {
-			st.Set(start+seen, buf.Bytes())
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

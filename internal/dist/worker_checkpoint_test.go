@@ -9,13 +9,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"ksettop/internal/bits"
 	"ksettop/internal/checkpoint"
 	"ksettop/internal/cli"
 	"ksettop/internal/model"
+	"ksettop/internal/model/modeltest"
 )
 
 func testModel(t *testing.T, spec string) *model.ClosedAbove {
@@ -129,6 +132,175 @@ func TestDistShardResumeByteIdentity(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: %s state skewed the payload", opName, bad.name)
+			}
+		}
+	}
+}
+
+// TestDistShardResumeFromLastFlush resumes a shard from the progress its own
+// completed execution last recorded. On multi-generator models the scan
+// skips the ranks a lower generator owns, so the recorded position must be
+// the rank after the last element folded into the accumulator; lo plus the
+// number of folded elements falls behind it, and a shard resumed there
+// re-emits elements under a CRC that still checks out (star:n=5 enum came
+// back 4045778 bytes instead of 3687461).
+func TestDistShardResumeFromLastFlush(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []string{"star:n=5", "cycle:n=5"} {
+		m := testModel(t, spec)
+		size, err := m.EnumerationSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opName := range []string{OpCount, OpEnum} {
+			op, _ := LookupOp(opName)
+			want, err := op.Run(ctx, m, 0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &ShardState{}
+			if got, err := op.Resume(ctx, m, 0, size, st); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: durable run differs from cold run (err %v)", spec, opName, err)
+			}
+			pos, acc := st.Snapshot()
+			if pos <= 0 || pos >= size {
+				t.Fatalf("%s %s: recorded position %d, want one inside (0, %d)", spec, opName, pos, size)
+			}
+			var folded []byte
+			if opName == OpCount {
+				folded = countAcc(t, m, 0, pos)
+			} else {
+				folded = enumAcc(t, m, 0, pos)
+			}
+			if !bytes.Equal(acc, folded) {
+				t.Fatalf("%s %s: accumulator at position %d is not the fold of ranks [0, %d)", spec, opName, pos, pos)
+			}
+			got, err := op.Resume(ctx, m, 0, size, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: resumed from position %d, payload differs from cold run (%d vs %d bytes)",
+					spec, opName, pos, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestDistShardResumeAtShardEnd resumes a shard whose last element was a
+// flush point, so the recorded position equals hi: a state kept after the
+// last flush (a cancel before delivery, or a crash after the checkpoint
+// save) is re-granted over the empty window [hi, hi), which must return the
+// recorded accumulator as the whole payload and stop at once. The windows
+// end inside a segment, where the scan has ranks left to step.
+func TestDistShardResumeAtShardEnd(t *testing.T) {
+	for _, spec := range []string{"star:n=5", "cycle:n=5"} {
+		m := testModel(t, spec)
+		e, err := m.Enumeration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := e.Size() / 3
+		if spec == "star:n=5" {
+			lo = 0
+		}
+		// hi is one past the shard's (shardFlushMask+1)-th element.
+		hi, seen := int64(-1), 0
+		e.RangeMasks(lo, e.Size(), func(rank int64, _ bits.Words) bool {
+			seen++
+			hi = rank + 1
+			return seen <= shardFlushMask
+		})
+		if seen != shardFlushMask+1 {
+			t.Fatalf("%s: only %d elements past rank %d", spec, seen, lo)
+		}
+		for _, opName := range []string{OpCount, OpEnum} {
+			op, _ := LookupOp(opName)
+			want, err := op.Run(context.Background(), m, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &ShardState{}
+			if _, err := op.Resume(context.Background(), m, lo, hi, st); err != nil {
+				t.Fatal(err)
+			}
+			if pos, _ := st.Snapshot(); pos != hi {
+				t.Fatalf("%s %s: recorded position %d, want the shard end %d", spec, opName, pos, hi)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			got, err := op.Resume(ctx, m, lo, hi, st)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s %s: resume at the shard end: %v", spec, opName, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: resume at the shard end differs from cold run (%d vs %d bytes)",
+					spec, opName, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestDistWorkerRejectsReversedRange: a grant whose rank range is reversed
+// or negative is a bad request; an empty one is a valid, empty shard.
+func TestDistWorkerRejectsReversedRange(t *testing.T) {
+	w := NewWorker(WorkerConfig{Logf: func(string, ...any) {}})
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	for _, bad := range [][2]int64{{100, 50}, {-1, 10}} {
+		if _, status := execShard(t, ts.URL, ExecRequest{Op: OpCount, Model: "star:n=5", From: bad[0], To: bad[1]}); status != http.StatusBadRequest {
+			t.Fatalf("range [%d, %d): status %d, want %d", bad[0], bad[1], status, http.StatusBadRequest)
+		}
+	}
+	for opName, want := range map[string][]byte{OpCount: {0}, OpEnum: nil} {
+		got, status := execShard(t, ts.URL, ExecRequest{Op: opName, Model: "star:n=5", From: 4000, To: 4000})
+		if status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s empty range: status %d, payload %v", opName, status, got)
+		}
+	}
+}
+
+// TestDistEnumPayloadMatchesSortedEncoder pins the enum wire format against
+// an independent encoder: collect each element's edge-bit positions, sort
+// them, then write the count and the ascending deltas as uvarints.
+func TestDistEnumPayloadMatchesSortedEncoder(t *testing.T) {
+	ctx := context.Background()
+	op, _ := LookupOp(OpEnum)
+	straddling, err := model.New(modeltest.WordStraddlingGenerators())
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*model.ClosedAbove{"n=9 word-straddling": straddling}
+	for _, spec := range []string{"star:n=4", "cycle:n=5", "stars:n=5,s=2"} {
+		models[spec] = testModel(t, spec)
+	}
+	for spec, m := range models {
+		e, err := m.Enumeration()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cut := range [][2]int64{{0, e.Size()}, {e.Size() / 3, e.Size()/3 + 5000}} {
+			lo, hi := cut[0], min(cut[1], e.Size())
+			var want bytes.Buffer
+			var positions []int
+			e.RangeMasks(lo, hi, func(_ int64, mask bits.Words) bool {
+				positions = positions[:0]
+				mask.ForEachBit(func(bit int) { positions = append(positions, bit) })
+				sort.Ints(positions)
+				checkpoint.WriteUvarint(&want, uint64(len(positions)))
+				prev := 0
+				for _, p := range positions {
+					checkpoint.WriteUvarint(&want, uint64(p-prev))
+					prev = p
+				}
+				return true
+			})
+			got, err := op.Run(ctx, m, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%s [%d, %d): enum payload differs from the sorted encoder (%d vs %d bytes)", spec, lo, hi, len(got), want.Len())
 			}
 		}
 	}
@@ -274,16 +446,25 @@ func TestDistWorkerKillRestartResumeByteIdentity(t *testing.T) {
 }
 
 // TestDistWorkerCheckpointLeaseExpiryRecordsProgress aborts a real shard
-// execution mid-range (lease deadline on a 327k-rank shard) and checks the
+// execution mid-range (lease deadline on a 753k-rank shard) and checks the
 // interrupted progress lands in the checkpoint file, then finishes the shard
-// on a restarted worker and requires the cold-run bytes.
+// on a restarted worker and requires the cold-run bytes. The shard starts at
+// cycle:n=5's second generator segment, so every rank it scans can be owned
+// by a lower generator and the resume position must account for the ranks
+// the scan skipped.
 func TestDistWorkerCheckpointLeaseExpiryRecordsProgress(t *testing.T) {
-	m := testModel(t, "star:n=5")
+	const spec = "cycle:n=5"
+	m := testModel(t, spec)
 	e, err := m.Enumeration()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := int64(0), e.Size() // 327680 ranks
+	// The 24 generators are directed 5-cycles with 2^15 ranks each, so
+	// segment 1 starts at Size / 24.
+	if m.GeneratorCount() != 24 || e.Size() != 24<<15 {
+		t.Fatalf("%s: %d generators, %d ranks; want 24 segments of 2^15", spec, m.GeneratorCount(), e.Size())
+	}
+	lo, hi := e.Size()/24, e.Size()
 	path := filepath.Join(t.TempDir(), "worker.ckpt")
 
 	r1 := checkpoint.NewRunner(path, "job", 0)
@@ -291,19 +472,28 @@ func TestDistWorkerCheckpointLeaseExpiryRecordsProgress(t *testing.T) {
 	ts1 := httptest.NewServer(w1.Handler())
 	defer ts1.Close()
 
-	// A lease far too short for 327k ranks of enum serialization: the worker
+	// A lease far too short for 753k ranks of enum serialization: the worker
 	// must give up at the deadline, leaving its progress in the shard table.
-	req := ExecRequest{Op: OpEnum, Model: "star:n=5", From: lo, To: hi, LeaseMs: 5}
+	req := ExecRequest{Op: OpEnum, Model: spec, From: lo, To: hi, LeaseMs: 5}
+	key := shardKey(req)
 	deadline := time.Now().Add(10 * time.Second)
 	aborted := false
 	for time.Now().Before(deadline) {
 		if _, status := execShard(t, ts1.URL, req); status == http.StatusGatewayTimeout {
-			aborted = true
-			break
+			w1.shards.mu.Lock()
+			st := w1.shards.states[key]
+			w1.shards.mu.Unlock()
+			if st == nil {
+				t.Fatal("aborted shard left no entry in the shard table")
+			}
+			if pos, _ := st.Snapshot(); pos > lo {
+				aborted = true
+				break
+			}
 		}
 	}
 	if !aborted {
-		t.Skip("machine finished a 327k-rank shard inside a 5ms lease; nothing to resume")
+		t.Skip("machine finished a 753k-rank shard inside a 5ms lease; nothing to resume")
 	}
 	if err := r1.SaveNow(); err != nil {
 		t.Fatal(err)
@@ -322,7 +512,7 @@ func TestDistWorkerCheckpointLeaseExpiryRecordsProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, status := execShard(t, ts2.URL, ExecRequest{Op: OpEnum, Model: "star:n=5", From: lo, To: hi})
+	got, status := execShard(t, ts2.URL, ExecRequest{Op: OpEnum, Model: spec, From: lo, To: hi})
 	if status != http.StatusOK {
 		t.Fatalf("resume exec status %d", status)
 	}

@@ -50,9 +50,9 @@ const (
 	// corruption check, catchable only by quorum cross-validation. Arm them
 	// with error-action rules; the rule firing is the lie trigger (no error
 	// ever escapes the worker, it just lies).
-	PointDistLieCount  = "dist.lie.count"  // worker: off-by-one count payload
-	PointDistLieEnum   = "dist.lie.enum"   // worker: truncated (odd hits) / rotated (even hits) enum payload
-	PointDistLieReplay = "dist.lie.replay" // worker: replays its previous (stale) shard result
+	PointDistLieCount  = "dist.lie.count"  // worker, count grants only: off-by-one count payload
+	PointDistLieEnum   = "dist.lie.enum"   // worker, enum grants only: truncated (odd hits) / rotated (even hits) enum payload
+	PointDistLieReplay = "dist.lie.replay" // worker, every grant: replays its previous (stale) shard result
 
 	// Durable-run checkpoint sites (internal/checkpoint). Write/fsync errors
 	// model a full disk or a crash between write and rename; a corrupt rule

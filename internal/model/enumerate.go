@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"sync/atomic"
 
 	"ksettop/internal/bits"
@@ -54,10 +55,14 @@ func SetEnumerationBudget(v int64) {
 // Edge masks are bits.Words (bit u·n+v = edge u→v), so the enumeration is
 // not limited to the 8 processes a single machine word supports; the only
 // limit is the configurable rank-space budget.
+//
+// RangeMasks never unranks a rank from scratch or tests a lower generator
+// directly: it steps each segment by submask increment and decides
+// ownership against guards computed once per segment (see RangeMasks).
 type Enumeration struct {
 	n       int
 	bases   []bits.Words // per generator: non-loop edge mask
-	free    [][]int32    // per generator: absent edge-bit positions, ascending
+	free    []bits.Words // per generator: absent non-loop edge mask
 	offsets []int64      // segment starts; offsets[len(bases)] = Size()
 }
 
@@ -70,14 +75,15 @@ func (m *ClosedAbove) Enumeration() (*Enumeration, error) {
 	var total int64
 	for _, g := range m.gens {
 		base := edgeWords(g)
-		free := freeEdgePositions(m.n, base)
-		if len(free) > 62 {
-			return nil, fmt.Errorf("model: generator with %d missing edges: segment ranks exceed int64, unenumerable at any budget", len(free))
+		free := freeEdges(m.n, base)
+		f := free.OnesCount()
+		if f > 62 {
+			return nil, fmt.Errorf("model: generator with %d missing edges: segment ranks exceed int64, unenumerable at any budget", f)
 		}
-		if int64(1)<<uint(len(free)) > budget-total {
-			return nil, &EnumerationBudgetError{Budget: budget, Required: total + int64(1)<<uint(len(free))}
+		if int64(1)<<uint(f) > budget-total {
+			return nil, &EnumerationBudgetError{Budget: budget, Required: total + int64(1)<<uint(f)}
 		}
-		total += int64(1) << uint(len(free))
+		total += int64(1) << uint(f)
 		e.bases = append(e.bases, base)
 		e.free = append(e.free, free)
 		e.offsets = append(e.offsets, total)
@@ -92,60 +98,158 @@ func (e *Enumeration) Size() int64 { return e.offsets[len(e.offsets)-1] }
 // N returns the number of processes.
 func (e *Enumeration) N() int { return e.n }
 
-// RangeMasks calls yield on every closure element whose rank lies in
-// [lo, hi), in ascending rank order, as a non-loop edge mask (bit u·n+v).
-// The mask buffer is reused between calls; yield must copy it to retain it.
-// Enumeration stops early if yield returns false; RangeMasks reports whether
-// it ran to completion. This is the fast path: no graph.Digraph (or any
-// other allocation) per element.
-func (e *Enumeration) RangeMasks(lo, hi int64, yield func(mask bits.Words) bool) bool {
+// RangeMasks calls yield(rank, mask) on every closure element whose rank
+// lies in [lo, hi) (nothing when lo ≥ hi), in ascending rank order, with the element as a non-loop
+// edge mask (bit u·n+v). The mask buffer is reused between calls and is the
+// scan's own state: yield must neither modify nor retain it (copy it to
+// keep it). Enumeration stops early if yield returns false; RangeMasks
+// reports whether it ran to completion. No allocation per element.
+//
+// Within segment i the scan steps sub = mask \ base_i, a submask of the
+// free edges F_i, by the ascending submask increment
+// sub ← ((sub | ¬F_i) + 1) & F_i, carried across the mask's words. The
+// increment visits submasks in the order of their local ranks, so elements
+// still come out in ascending rank order, at a few word operations per rank.
+//
+// Ownership is tested against guards computed once per segment entry:
+// base_i ∪ sub contains a lower generator base_j exactly when
+// sub ⊇ base_j \ base_i, so a rank is owned iff sub contains none of the
+// minimal such differences (see guardSet.enter). A segment where some
+// difference is empty (base_j ⊆ base_i) owns no rank and is skipped whole.
+func (e *Enumeration) RangeMasks(lo, hi int64, yield func(rank int64, mask bits.Words) bool) bool {
 	if lo < 0 {
 		lo = 0
 	}
 	if hi > e.Size() {
 		hi = e.Size()
 	}
+	if lo >= hi {
+		// Empty or reversed window. The scan below yields before it
+		// tests r against the segment end, so it needs from < to.
+		return true
+	}
 	mask := bits.NewWords(e.n * e.n)
+	nw := len(mask)
+	var gs guardSet
 	for i := range e.bases {
 		segLo, segHi := e.offsets[i], e.offsets[i+1]
 		if hi <= segLo || lo >= segHi {
 			continue
 		}
-		from, to := segLo, segHi
-		if lo > from {
-			from = lo
+		if !gs.enter(e, i) {
+			continue
 		}
-		if hi < to {
-			to = hi
-		}
-		free := e.free[i]
-		for r := from - segLo; r < to-segLo; r++ {
-			mask.CopyFrom(e.bases[i])
-			for t := uint64(r); t != 0; t &= t - 1 {
-				mask.SetBit(int(free[mathbits.TrailingZeros64(t)]))
+		from, to := max(lo, segLo), min(hi, segHi)
+		base, free, guards := e.bases[i], e.free[i], gs.guards
+		spreadRank(mask, base, free, uint64(from-segLo))
+		for r := from; ; {
+			owned := true
+			for g := 0; g < len(guards); g += nw {
+				contained := true
+				for w := 0; w < nw; w++ {
+					if guards[g+w]&^mask[w] != 0 {
+						contained = false
+						break
+					}
+				}
+				if contained {
+					owned = false
+					break
+				}
 			}
-			if !e.ownedBySegment(i, mask) {
-				continue
-			}
-			if !yield(mask) {
+			if owned && !yield(r, mask) {
 				return false
+			}
+			if r++; r == to {
+				break
+			}
+			// Submask increment: bits outside F_i are forced to 1 so the
+			// +1 carries through them; base_i is restored after masking.
+			carry := uint64(1)
+			for w := 0; w < nw && carry != 0; w++ {
+				var sum uint64
+				sum, carry = mathbits.Add64(mask[w]|^free[w], carry, 0)
+				mask[w] = sum&free[w] | base[w]
 			}
 		}
 	}
 	return true
 }
 
-// ownedBySegment reports whether segment i is the canonical owner of mask:
-// no lower-indexed generator is contained in it. This replaces the seed's
-// shared seen-map dedup and is what makes disjoint rank ranges
-// independently enumerable.
-func (e *Enumeration) ownedBySegment(i int, mask bits.Words) bool {
+// guardSet is the reusable per-scan state of RangeMasks' ownership tests.
+type guardSet struct {
+	guards []uint64 // kept guards, stride = words per mask, smallest first
+	sizes  []int    // popcount of each kept guard
+	diff   bits.Words
+}
+
+// enter computes segment i's ownership guards: the differences
+// d_j = base_j \ base_i over j < i, minus every d_j that contains another
+// one, smallest first, so the scan tests the guards most likely to disown a
+// rank before the rest. The kept guards are an antichain of subsets of the
+// segment's f free edges, maintained as the d_j arrive, so entering costs
+// O(i · kept) word operations with kept ≤ C(f, ⌊f/2⌋), which stays small
+// on small segments. It reports false when some d_j is empty —
+// base_j ⊆ base_i, every rank of the segment contains a lower generator,
+// and the segment owns nothing.
+func (s *guardSet) enter(e *Enumeration, i int) bool {
+	base := e.bases[i]
+	nw := len(base)
+	s.guards, s.sizes = s.guards[:0], s.sizes[:0]
+	if len(s.diff) != nw {
+		s.diff = make(bits.Words, nw)
+	}
+	d := s.diff
+next:
 	for j := 0; j < i; j++ {
-		if mask.ContainsAll(e.bases[j]) {
+		size := 0
+		for w, b := range e.bases[j] {
+			d[w] = b &^ base[w]
+			size += mathbits.OnesCount64(d[w])
+		}
+		if size == 0 {
 			return false
 		}
+		// A kept guard inside d makes d redundant. Otherwise d evicts the
+		// kept guards containing it (all strictly larger) and is inserted
+		// after the guards of its size or smaller.
+		at := 0
+		for k, sz := range s.sizes {
+			if sz > size {
+				break
+			}
+			if d.ContainsAll(s.guards[k*nw : (k+1)*nw]) {
+				continue next
+			}
+			at = k + 1
+		}
+		kept := at
+		for k := at; k < len(s.sizes); k++ {
+			g := bits.Words(s.guards[k*nw : (k+1)*nw])
+			if !g.ContainsAll(d) {
+				copy(s.guards[kept*nw:], g)
+				s.sizes[kept] = s.sizes[k]
+				kept++
+			}
+		}
+		s.guards = slices.Insert(s.guards[:kept*nw], at*nw, d...)
+		s.sizes = slices.Insert(s.sizes[:kept], at, size)
 	}
 	return true
+}
+
+// spreadRank sets mask to base ∪ spread(r): the k-th bit of the local rank r
+// placed on the k-th lowest bit of free.
+func spreadRank(mask, base, free bits.Words, r uint64) {
+	mask.CopyFrom(base)
+	for w, f := range free {
+		for ; f != 0 && r != 0; f &= f - 1 {
+			if r&1 != 0 {
+				mask[w] |= f & -f
+			}
+			r >>= 1
+		}
+	}
 }
 
 // RangeGraphs is RangeMasks materialized: yield receives each closure
@@ -153,7 +257,7 @@ func (e *Enumeration) ownedBySegment(i int, mask bits.Words) bool {
 func (e *Enumeration) RangeGraphs(lo, hi int64, yield func(graph.Digraph) bool) (bool, error) {
 	rows := make([]bits.Set, e.n)
 	var buildErr error
-	done := e.RangeMasks(lo, hi, func(mask bits.Words) bool {
+	done := e.RangeMasks(lo, hi, func(_ int64, mask bits.Words) bool {
 		e.maskRows(mask, rows)
 		g, err := graph.FromRows(e.n, rows)
 		if err != nil {
@@ -191,14 +295,13 @@ func edgeWords(g graph.Digraph) bits.Words {
 	return mask
 }
 
-// freeEdgePositions returns the non-loop edge-bit positions absent from
-// base, in ascending order.
-func freeEdgePositions(n int, base bits.Words) []int32 {
-	var free []int32
+// freeEdges returns the non-loop edge bits absent from base.
+func freeEdges(n int, base bits.Words) bits.Words {
+	free := bits.NewWords(n * n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v && !base.Has(u*n+v) {
-				free = append(free, int32(u*n+v))
+				free.SetBit(u*n + v)
 			}
 		}
 	}
@@ -384,7 +487,7 @@ func (m *ClosedAbove) GraphCountCtx(ctx context.Context) (int, error) {
 		if err := par.ForEachShardNCtx(ctx, total, shards, ctl, func(_ int, from, to int64, c *par.Ctl) {
 			local := 0
 			seen := int64(0)
-			e.RangeMasks(from, to, func(bits.Words) bool {
+			e.RangeMasks(from, to, func(int64, bits.Words) bool {
 				if seen&enumPollMask == 0 && c.Stopped() {
 					return false
 				}
